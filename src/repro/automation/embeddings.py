@@ -30,19 +30,26 @@ def column_embeddings(
 
 
 def table_embedding_1800(
-    pdf: pd.DataFrame, only_missing: bool = False
+    pdf: pd.DataFrame,
+    only_missing: bool = False,
+    embeddings: dict[str, tuple[FineGrainedType, np.ndarray]] | None = None,
 ) -> np.ndarray:
     """Concatenated per-type averages (§4.2).
 
     With ``only_missing=True``, averages only the columns that contain
     missing values — the paper's initialization for the cleaning model.
-    Falls back to all columns when nothing is missing.
+    Falls back to all columns when nothing is missing. ``embeddings`` is
+    ``column_embeddings(pdf)`` when the caller already has it, so that
+    no column is embedded twice.
     """
     cols = pdf.columns
     if only_missing:
         with_na = [c for c in cols if pdf[c].isna().any()]
         cols = with_na if with_na else cols
-    embs = column_embeddings(pdf[list(cols)])
+    if embeddings is None:
+        embs = column_embeddings(pdf[list(cols)])
+    else:
+        embs = {str(c): embeddings[str(c)] for c in cols}
     blocks = []
     for fgt in EMBEDDED_TYPES:
         of_type = [e for t, e in embs.values() if t == fgt]

@@ -180,18 +180,24 @@ class TransformationRecommender:
     ) -> "TransformationRecommender":
         scaler_labels = mine_scaler_labels(store)
         scaler_labels = scaler_labels[scaler_labels["dataset"].isin(tables)]
+        col_labels = mine_column_transform_labels(store)
+        # each labelled table's columns are embedded once, for both models
+        embs_of = {
+            ds: column_embeddings(tables[ds])
+            for ds in set(scaler_labels["dataset"]) | set(col_labels["dataset"])
+            if ds in tables
+        }
         tab_embs = np.stack(
-            [table_embedding_1800(tables[d]) for d in scaler_labels["dataset"]]
+            [table_embedding_1800(tables[d], embeddings=embs_of[d])
+             for d in scaler_labels["dataset"]]
         )
         self.fit_table(tab_embs, list(scaler_labels["op"]))
-        col_labels = mine_column_transform_labels(store)
         col_embs, col_ops = [], []
         for ds, grp in col_labels.groupby("dataset"):
             if ds not in tables:
                 continue
-            embs = column_embeddings(tables[ds])
             transformed = dict(zip(grp["column"], grp["op"]))
-            for col, (fgt, emb) in embs.items():
+            for col, (fgt, emb) in embs_of[ds].items():
                 if fgt.value not in ("int", "float"):
                     continue
                 col_embs.append(emb)
@@ -205,7 +211,8 @@ class TransformationRecommender:
     ) -> tuple[str, dict[str, str]]:
         """The §4.1/§5 API: (scaler, per-column unary ops) for ``pdf``."""
         assert self.table_model is not None, "fit the recommender first"
-        emb = table_embedding_1800(pdf)
+        col_embs = column_embeddings(pdf)
+        emb = table_embedding_1800(pdf, embeddings=col_embs)
         mu, sd = self._tab_stats
         scaler = TABLE_TRANSFORMS[
             int(self.table_model.predict(((emb - mu) / sd).reshape(1, -1))[0])
@@ -213,7 +220,7 @@ class TransformationRecommender:
         col_ops: dict[str, str] = {}
         if self.column_model is not None:
             cmu, csd = self._col_stats
-            for col, (fgt, cemb) in column_embeddings(pdf).items():
+            for col, (fgt, cemb) in col_embs.items():
                 if fgt.value not in ("int", "float"):
                     continue
                 pred = int(

@@ -218,7 +218,6 @@ class _Analyzer(ast.NodeVisitor):
 
     def visit_For(self, node: ast.For) -> None:
         self._control.append("loop")
-        self._add_statement_header(node)
         self._visit_block(node.body)
         self._control.pop()
 
@@ -237,9 +236,6 @@ class _Analyzer(ast.NodeVisitor):
         self._control.append("function")
         self._visit_block(node.body)
         self._control.pop()
-
-    def _add_statement_header(self, node: ast.For) -> None:
-        pass  # loop headers rarely carry pipeline semantics
 
     def generic_visit(self, node: ast.AST) -> None:
         if isinstance(node, ast.stmt) and not isinstance(

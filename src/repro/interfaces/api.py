@@ -26,14 +26,17 @@ def search_tables_based_on_specific_columns(
     disjunctively) or a nested list of terms (matched conjunctively),
     e.g. ``[["heart", "disease"], "patients"]``.
     """
-    labels = (
+    rows = (
         store.df.filter(
             (F.col("p") == O.RDFS_LABEL)
+            | ((F.col("p") == O.RDF_TYPE) & (F.col("o") == O.COLUMN))
         )
-        .select("s", F.lower(F.col("o")).alias("label"))
+        .select("s", "p", F.lower(F.col("o")).alias("label"))
         .toPandas()
     )
-    cols = labels[labels["s"].str.count("/") >= 5]  # column URIs ds/table/col
+    is_label = rows["p"] == O.RDFS_LABEL
+    columns = set(rows.loc[~is_label, "s"])  # subjects typed kglids:Column
+    cols = rows[is_label & rows["s"].isin(columns)]
     parts = cols["s"].str.removeprefix(O.RESOURCE).str.split("/")
     frame = pd.DataFrame(
         {
@@ -93,19 +96,7 @@ def get_path_to_table(
 
 def get_top_k_library_used(store: TripleStore, k: int) -> pd.DataFrame:
     """Top-k libraries by number of unique pipelines calling them (Fig. 4)."""
-    calls = store.match_bgp(
-        [("?stmt", O.CALLS_LIBRARY, "?lib"), ("?stmt", O.IS_PART_OF, "?pipe")]
-    ).toPandas()
-    calls["library"] = calls["lib"].str.rsplit("/", n=1).str[-1]
-    out = (
-        calls.groupby("library")["pipe"]
-        .nunique()
-        .reset_index(name="n_pipelines")
-        .sort_values(["n_pipelines", "library"], ascending=[False, True])
-        .head(k)
-        .reset_index(drop=True)
-    )
-    return out
+    return get_top_used_libraries(store, k)
 
 
 def get_top_used_libraries(

@@ -6,7 +6,8 @@ from repro.automation import automl
 from repro.automation.experiments import train_platform
 from repro.core import profiler
 from repro.core.schema_builder import build_dataset_graph
-from repro.core.triples import TripleStore
+from repro.core import ontology as O
+from repro.core.triples import TripleBuilder, TripleStore
 from repro.discovery import union_search as us
 from repro.interfaces import api
 from repro.lakegen.lake import LakeConfig, build_lake
@@ -53,6 +54,26 @@ def test_search_tables_conjunctive_and_disjunctive(dataset_graph, lake):
         dataset_graph, [[cols[0], "zzzz_not_there"]]
     )
     assert len(none) == 0
+
+
+def test_search_tables_matches_column_labels_only(spark):
+    """A keyword found only in a table's (or dataset's) name matches nothing."""
+    tb = TripleBuilder()
+    ds, tab = O.res("cardio"), O.res("cardio", "heartstudy")
+    tb.add(ds, O.RDF_TYPE, O.DATASET)
+    tb.add(tab, O.RDF_TYPE, O.TABLE)
+    tb.add(tab, O.RDFS_LABEL, "heartstudy")
+    tb.add(tab, O.IS_PART_OF, ds)
+    for column in ("age", "sex"):
+        col = O.res("cardio", "heartstudy", column)
+        tb.add(col, O.RDF_TYPE, O.COLUMN)
+        tb.add(col, O.RDFS_LABEL, column)
+        tb.add(col, O.IS_PART_OF, tab)
+    store = TripleStore.from_pandas(spark, tb.to_pandas())
+    assert len(api.search_tables_based_on_specific_columns(store, ["heartstudy"])) == 0
+    assert len(api.search_tables_based_on_specific_columns(store, [["heart", "age"]])) == 0
+    hits = api.search_tables_based_on_specific_columns(store, [["age", "sex"]])
+    assert hits.to_dict("records") == [{"dataset": "cardio", "table": "heartstudy"}]
 
 
 def test_find_unionable_columns(lake, index):
