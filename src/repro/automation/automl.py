@@ -18,6 +18,7 @@ from repro.core.triples import TripleStore
 from repro.core.word_embeddings import cosine
 
 from .embeddings import table_embedding_1800
+from .mining import pipeline_calls
 
 _CLASSIFIER_TAILS = (
     "RandomForestClassifier", "LogisticRegression", "XGBClassifier", "SVC",
@@ -39,17 +40,9 @@ def most_similar_dataset(
 
 def _classifier_calls(store: TripleStore) -> pd.DataFrame:
     """(dataset, pipeline, classifier, votes) for every estimator call."""
-    rows = store.match_bgp(
-        [
-            ("?stmt", O.CALLS, "?func"),
-            ("?stmt", O.IS_PART_OF, "?pipe"),
-            ("?pipe", O.USES_DATASET, "?ds"),
-            ("?pipe", O.HAS_VOTES, "?votes"),
-        ]
-    ).toPandas()
+    rows = pipeline_calls(store)
     rows["classifier"] = rows["func"].str.rsplit("/", n=1).str[-1]
     rows = rows[rows["classifier"].isin(_CLASSIFIER_TAILS)].copy()
-    rows["dataset"] = rows["ds"].str.rsplit("/", n=1).str[-1]
     rows["votes"] = rows["votes"].astype(float)
     return rows[["dataset", "pipe", "stmt", "classifier", "votes"]]
 

@@ -17,11 +17,11 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.core import ontology as O
 from repro.core.triples import TripleStore
 
 from .embeddings import table_embedding_1800
 from .gnn import GNNConfig, OneLayerGNN
+from .mining import pipeline_calls, vote_weighted_labels
 
 CLEANING_OPERATIONS = [
     "Fillna",
@@ -164,31 +164,8 @@ def baseline_drop_nulls(pdf: pd.DataFrame) -> pd.DataFrame:
 # mining training pairs from the LiDS graph
 # --------------------------------------------------------------------------
 def mine_cleaning_labels(store: TripleStore) -> pd.DataFrame:
-    """dataset -> vote-weighted most common cleaning op of its pipelines.
-
-    SPARQL-equivalent BGP: ?stmt callsFunction ?f . ?stmt isPartOf ?pipe .
-    ?pipe usesDataset ?ds . ?pipe hasVotes ?v — then a weighted group-by.
-    """
-    rows = store.match_bgp(
-        [
-            ("?stmt", O.CALLS, "?func"),
-            ("?stmt", O.IS_PART_OF, "?pipe"),
-            ("?pipe", O.USES_DATASET, "?ds"),
-            ("?pipe", O.HAS_VOTES, "?votes"),
-        ]
-    ).toPandas()
-    prefix = O.res("library") + "/"
-    rows["op"] = rows["func"].str.removeprefix(prefix).map(_CALL_TO_OP)
-    rows = rows.dropna(subset=["op"])
-    rows["votes"] = rows["votes"].astype(float) + 1.0
-    rows["dataset"] = rows["ds"].str.rsplit("/", n=1).str[-1]
-    weighted = (
-        rows.groupby(["dataset", "op"])["votes"].sum().reset_index()
-    )
-    best = weighted.sort_values(
-        ["dataset", "votes", "op"], ascending=[True, False, True]
-    ).drop_duplicates("dataset")
-    return best[["dataset", "op"]].reset_index(drop=True)
+    """dataset -> vote-weighted most common cleaning op of its pipelines."""
+    return vote_weighted_labels(pipeline_calls(store), _CALL_TO_OP)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """End-to-end harnesses for the Table-5 and Table-6 experiments.
 
-Shared by ``tests/``, ``benchmarks/`` and ``jobs/``:
+Shared by ``tests/`` and ``benchmarks/``:
 
 1. generate the Kaggle-style corpus, abstract it into the LiDS graph
    (Algorithm 1, Spark), and train the GNN recommenders from KG queries;

@@ -20,6 +20,7 @@ from repro.core.triples import TripleStore
 
 from .embeddings import column_embeddings, table_embedding_1800
 from .gnn import GNNConfig, OneLayerGNN
+from .mining import pipeline_calls, vote_weighted_labels
 
 TABLE_TRANSFORMS = ["MinMaxScaler", "RobustScaler", "StandardScaler"]
 COLUMN_TRANSFORMS = ["log", "none", "sqrt"]
@@ -85,24 +86,7 @@ def apply_transformations(
 # --------------------------------------------------------------------------
 def mine_scaler_labels(store: TripleStore) -> pd.DataFrame:
     """dataset -> vote-weighted most common scaler of its pipelines."""
-    rows = store.match_bgp(
-        [
-            ("?stmt", O.CALLS, "?func"),
-            ("?stmt", O.IS_PART_OF, "?pipe"),
-            ("?pipe", O.USES_DATASET, "?ds"),
-            ("?pipe", O.HAS_VOTES, "?votes"),
-        ]
-    ).toPandas()
-    prefix = O.res("library") + "/"
-    rows["op"] = rows["func"].str.removeprefix(prefix).map(_SCALER_CALLS)
-    rows = rows.dropna(subset=["op"])
-    rows["votes"] = rows["votes"].astype(float) + 1.0
-    rows["dataset"] = rows["ds"].str.rsplit("/", n=1).str[-1]
-    weighted = rows.groupby(["dataset", "op"])["votes"].sum().reset_index()
-    best = weighted.sort_values(
-        ["dataset", "votes", "op"], ascending=[True, False, True]
-    ).drop_duplicates("dataset")
-    return best[["dataset", "op"]].reset_index(drop=True)
+    return vote_weighted_labels(pipeline_calls(store), _SCALER_CALLS)
 
 
 def mine_column_transform_labels(store: TripleStore) -> pd.DataFrame:

@@ -147,16 +147,24 @@ def sample_size(n: int) -> int:
     return min(n, max(int(0.1 * n), 1000))
 
 
-def embed_values(values: np.ndarray | list, fgt: FineGrainedType, *, seed: int = 0) -> np.ndarray:
-    """Average CoLR embedding over a sample of ``values`` (Alg. 2 l. 8-10)."""
+def sample_values(values: np.ndarray | list, *, seed: int = 0) -> np.ndarray:
+    """Algorithm 2's sample of a column: its non-null values, at most
+    ``sample_size`` of them drawn without replacement."""
     values = np.asarray(values, dtype=object)
     values = values[pd.notna(values)]
-    if values.size == 0:
-        return np.zeros(EMBEDDING_DIM)
     k = sample_size(values.size)
     if k < values.size:
         idx = np.random.default_rng(seed).choice(values.size, k, replace=False)
         values = values[idx]
+    return values
+
+
+def embed_sample(values: np.ndarray | list, fgt: FineGrainedType) -> np.ndarray:
+    """Average CoLR embedding over an already-drawn sample of non-null
+    values (Alg. 2 l. 9-10)."""
+    values = np.asarray(values, dtype=object)
+    if values.size == 0:
+        return np.zeros(EMBEDDING_DIM)
     featurize, _ = _FEATURIZERS[fgt]
     if fgt in (FineGrainedType.INT, FineGrainedType.FLOAT):
         values = pd.to_numeric(pd.Series(values), errors="coerce").to_numpy()
@@ -167,3 +175,8 @@ def embed_values(values: np.ndarray | list, fgt: FineGrainedType, *, seed: int =
     if feats.shape[0] == 0:
         return np.zeros(EMBEDDING_DIM)
     return _forward(feats, fgt).mean(axis=0) - _CENTERS[fgt]
+
+
+def embed_values(values: np.ndarray | list, fgt: FineGrainedType, *, seed: int = 0) -> np.ndarray:
+    """Average CoLR embedding over a sample of ``values`` (Alg. 2 l. 8-10)."""
+    return embed_sample(sample_values(values, seed=seed), fgt)

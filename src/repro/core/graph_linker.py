@@ -26,6 +26,24 @@ def _existing(dataset_graph: DataFrame, node_class: str) -> DataFrame:
     )
 
 
+def _predicted_reads(
+    pipeline_store: TripleStore, dataset_store: TripleStore, how: str
+) -> DataFrame:
+    """``readsTable``/``readsColumn`` triples whose object does
+    (``left_semi``) or does not (``left_anti``) exist in the dataset
+    graph with the right class."""
+    pdf = pipeline_store.df
+    parts = []
+    for pred, node_class in (
+        (O.READS_TABLE, O.TABLE),
+        (O.READS_COLUMN, O.COLUMN),
+    ):
+        predicted = pdf.filter(F.col("p") == pred)
+        existing = _existing(dataset_store.df, node_class)
+        parts.append(predicted.join(existing, predicted.o == existing.verified, how))
+    return parts[0].unionByName(parts[1])
+
+
 def link(pipeline_store: TripleStore, dataset_store: TripleStore) -> TripleStore:
     """Verify predicted table/column reads; drop dangling predictions.
 
@@ -35,42 +53,12 @@ def link(pipeline_store: TripleStore, dataset_store: TripleStore) -> TripleStore
     """
     pdf = pipeline_store.df
     others = pdf.filter(~F.col("p").isin([O.READS_TABLE, O.READS_COLUMN]))
-    verified_parts = [others]
-    for pred, node_class in (
-        (O.READS_TABLE, O.TABLE),
-        (O.READS_COLUMN, O.COLUMN),
-    ):
-        predicted = pdf.filter(F.col("p") == pred)
-        existing = _existing(dataset_store.df, node_class)
-        verified_parts.append(
-            predicted.join(
-                existing, predicted.o == existing.verified, "left_semi"
-            )
-        )
-    out = verified_parts[0]
-    for part in verified_parts[1:]:
-        out = out.unionByName(part)
-    return TripleStore(pipeline_store.spark, out)
+    verified = _predicted_reads(pipeline_store, dataset_store, "left_semi")
+    return TripleStore(pipeline_store.spark, others.unionByName(verified))
 
 
 def dropped_predictions(
     pipeline_store: TripleStore, dataset_store: TripleStore
 ) -> DataFrame:
     """The predictions the linker would remove — for inspection/tests."""
-    pdf = pipeline_store.df
-    parts = []
-    for pred, node_class in (
-        (O.READS_TABLE, O.TABLE),
-        (O.READS_COLUMN, O.COLUMN),
-    ):
-        predicted = pdf.filter(F.col("p") == pred)
-        existing = _existing(dataset_store.df, node_class)
-        parts.append(
-            predicted.join(
-                existing, predicted.o == existing.verified, "left_anti"
-            )
-        )
-    out = parts[0]
-    for part in parts[1:]:
-        out = out.unionByName(part)
-    return out
+    return _predicted_reads(pipeline_store, dataset_store, "left_anti")

@@ -118,7 +118,8 @@ def _profile_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame
                 num = pd.to_numeric(pd.Series(vals), errors="coerce").dropna()
                 if len(num):
                     mean, std = float(num.mean()), float(num.std() or 0.0)
-            emb = colr.embed_values(vals, fgt)
+            # ``values`` is already Algorithm 2's sample (columns_dataframe)
+            emb = colr.embed_sample(vals, fgt)
             out.append(
                 {
                     "dataset": row.dataset,

@@ -1,22 +1,25 @@
-"""Data Global Schema Builder — Algorithm 3 — as Spark jobs.
+"""Data Global Schema Builder — Algorithm 3 — over the column profiles.
 
 Builds the dataset graph from column profiles:
 
 1. a metadata subgraph (dataset/table/column hierarchy + statistics),
-   produced distributedly with ``mapInPandas`` (Alg. 3 lines 2-5);
+   Alg. 3 lines 2-5;
 2. similarity edges between column pairs *of the same fine-grained type
    in different tables* (lines 6-19): label similarity from word
    embeddings (threshold α), content similarity from CoLR embeddings
    (threshold θ) — except booleans, compared on true-ratio (threshold β).
 
-The pairwise stage broadcasts the per-type embedding matrices and lets
-each partition compare its own columns against all later columns of the
-same type with one matmul — the paper's "MapReduce fashion" with the
-quadratic work spread across executors and no quadratic shuffle.
+The profile rows (one per column, Alg. 2's output) are collected to the
+driver once and both subgraphs are derived from that one frame, so
+profiling runs once whatever the caller persists. The metadata triples
+are built on the driver. The pairwise stage broadcasts the per-type
+embedding matrices and runs a small (fgt, position) DataFrame through
+``mapInPandas``: each row compares one column against all later columns
+of the same type with one matmul — the paper's "MapReduce fashion" with
+the quadratic work spread across executors and no quadratic shuffle.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -38,67 +41,91 @@ class SimilarityThresholds:
     theta: float = 0.95
 
 
+_METADATA_COLUMNS = [
+    "dataset", "table", "column", "fgt", "n_rows", "n_nulls", "n_distinct",
+    "true_ratio",
+]
+_PROFILE_COLUMNS = _METADATA_COLUMNS + ["embedding", "label_embedding"]
+
+
 def _column_uri(dataset: str, table: str, column: str) -> str:
     return O.res(dataset, table, column)
 
 
-def _metadata_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-    for batch in batches:
-        tb = TripleBuilder(graph=O.res("datasetGraph"))
-        for r in batch.itertuples(index=False):
-            col = _column_uri(r.dataset, r.table, r.column)
-            tab = O.res(r.dataset, r.table)
-            ds = O.res(r.dataset)
-            tb.add(col, O.RDF_TYPE, O.COLUMN)
-            tb.add(col, O.RDFS_LABEL, r.column)
-            tb.add(col, O.IS_PART_OF, tab)
-            tb.add(tab, O.RDF_TYPE, O.TABLE)
-            tb.add(tab, O.RDFS_LABEL, r.table)
-            tb.add(tab, O.IS_PART_OF, ds)
-            tb.add(ds, O.RDF_TYPE, O.DATASET)
-            tb.add(col, O.HAS_TYPE, r.fgt)
-            tb.add(col, O.HAS_TOTAL_VALUES, str(r.n_rows))
-            tb.add(col, O.HAS_NULL_COUNT, str(r.n_nulls))
-            tb.add(col, O.HAS_DISTINCT_VALUES, str(r.n_distinct))
-            if r.fgt == FineGrainedType.BOOLEAN.value and r.true_ratio is not None:
-                tb.add(col, O.HAS_TRUE_RATIO, f"{r.true_ratio:.4f}")
-        yield tb.to_pandas()
+def _metadata_triples(pdf: pd.DataFrame) -> pd.DataFrame:
+    """Alg. 3 lines 2-5 over collected profile rows: column triples once
+    per row, table and dataset triples once per distinct table/dataset."""
+    tb = TripleBuilder(graph=O.res("datasetGraph"))
+    for r in pdf.itertuples(index=False):
+        col = _column_uri(r.dataset, r.table, r.column)
+        tb.add(col, O.RDF_TYPE, O.COLUMN)
+        tb.add(col, O.RDFS_LABEL, r.column)
+        tb.add(col, O.IS_PART_OF, O.res(r.dataset, r.table))
+        tb.add(col, O.HAS_TYPE, r.fgt)
+        tb.add(col, O.HAS_TOTAL_VALUES, str(r.n_rows))
+        tb.add(col, O.HAS_NULL_COUNT, str(r.n_nulls))
+        tb.add(col, O.HAS_DISTINCT_VALUES, str(r.n_distinct))
+        if r.fgt == FineGrainedType.BOOLEAN.value and pd.notna(r.true_ratio):
+            tb.add(col, O.HAS_TRUE_RATIO, f"{r.true_ratio:.4f}")
+    for r in pdf.drop_duplicates(["dataset", "table"]).itertuples(index=False):
+        tab = O.res(r.dataset, r.table)
+        tb.add(tab, O.RDF_TYPE, O.TABLE)
+        tb.add(tab, O.RDFS_LABEL, r.table)
+        tb.add(tab, O.IS_PART_OF, O.res(r.dataset))
+    for ds in pdf["dataset"].unique():
+        tb.add(O.res(ds), O.RDF_TYPE, O.DATASET)
+    return tb.to_pandas()
 
 
 def build_metadata_subgraph(profiles: DataFrame) -> DataFrame:
-    """Alg. 3 lines 2-5: per-partition metadata subgraphs, as triples.
+    """Alg. 3 lines 2-5: the metadata subgraph, as triples."""
+    pdf = profiles.select(*_METADATA_COLUMNS).toPandas()
+    return TripleStore.from_pandas(profiles.sparkSession, _metadata_triples(pdf)).df
 
-    Table/dataset-level triples are emitted once per column and then
-    deduplicated (their subjects repeat across partitions).
-    """
-    return profiles.mapInPandas(_metadata_partition, TRIPLE_SCHEMA).dropDuplicates(
-        ["g", "s", "p", "o"]
-    )
+
+def _normalize(mat: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(mat, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return mat / norms
+
+
+def _similarity_side(pdf: pd.DataFrame) -> dict[str, dict]:
+    """Per fine-grained type, the column URIs, tables and unit-normalized
+    embedding matrices, in the order of the collected rows."""
+    side: dict[str, dict] = {}
+    for fgt, grp in pdf.groupby("fgt"):
+        side[fgt] = {
+            "ids": np.array(
+                [
+                    _column_uri(r.dataset, r.table, r.column)
+                    for r in grp.itertuples(index=False)
+                ]
+            ),
+            "tables": grp["table"].to_numpy(),
+            "content": _normalize(np.stack(grp["embedding"].to_numpy())),
+            "label": _normalize(np.stack(grp["label_embedding"].to_numpy())),
+            "true_ratio": grp["true_ratio"].fillna(0.5).to_numpy(dtype="float64"),
+        }
+    return side
 
 
 def _similarity_partition_factory(bc, thresholds: SimilarityThresholds):
-    """Worker over a partition of columns: compare each against all
-    same-type columns with a greater global index (i<j dedup)."""
+    """Worker over (fgt, position) rows: compare that column against all
+    same-type columns at a greater position (i<j dedup)."""
 
     def worker(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        side = bc.value  # {fgt: {"ids", "tables", "content", "label", "true_ratio", "index_of"}}
+        side = bc.value
         for batch in batches:
             tb = TripleBuilder(graph=O.res("datasetGraph"))
-            for r in batch.itertuples(index=False):
-                data = side.get(r.fgt)
-                if data is None:
-                    continue
-                me = data["index_of"][(r.dataset, r.table, r.column)]
+            for fgt, me in zip(batch["fgt"], batch["position"]):
+                data = side[fgt]
                 later = slice(me + 1, None)
-                other_tables = data["tables"][later]
-                if len(other_tables) == 0:
-                    continue
-                diff_table = other_tables != r.table
-                my_uri = _column_uri(r.dataset, r.table, r.column)
+                diff_table = data["tables"][later] != data["tables"][me]
+                my_uri = data["ids"][me]
                 # label similarity (α) — unit-normalized at build time
                 lab = data["label"][later] @ data["label"][me]
                 # content similarity: θ on cosine, or β on true-ratio
-                if r.fgt == FineGrainedType.BOOLEAN.value:
+                if fgt == FineGrainedType.BOOLEAN.value:
                     tr = data["true_ratio"][later]
                     mine = data["true_ratio"][me]
                     content = 1.0 - np.abs(tr - mine)
@@ -121,10 +148,20 @@ def _similarity_partition_factory(bc, thresholds: SimilarityThresholds):
     return worker
 
 
-def _normalize(mat: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return mat / norms
+def _similarity_edges(
+    spark: SparkSession, pdf: pd.DataFrame, thresholds: SimilarityThresholds
+) -> DataFrame:
+    side = _similarity_side(pdf)
+    # one row per column that has a later column of its type to compare with
+    comparisons = pd.DataFrame(
+        [(fgt, i) for fgt, data in side.items() for i in range(len(data["ids"]) - 1)],
+        columns=["fgt", "position"],
+    )
+    bc = spark.sparkContext.broadcast(side)
+    worker = _similarity_partition_factory(bc, thresholds)
+    return spark.createDataFrame(comparisons, "fgt string, position long").mapInPandas(
+        worker, TRIPLE_SCHEMA
+    )
 
 
 def build_similarity_edges(
@@ -133,34 +170,8 @@ def build_similarity_edges(
     thresholds: SimilarityThresholds = SimilarityThresholds(),
 ) -> DataFrame:
     """Alg. 3 lines 6-19: same-type pairwise similarity edges as triples."""
-    pdf = profiles.select(
-        "dataset", "table", "column", "fgt", "true_ratio", "embedding",
-        "label_embedding",
-    ).toPandas()
-    side: dict[str, dict] = {}
-    for fgt, grp in pdf.groupby("fgt"):
-        grp = grp.reset_index(drop=True)
-        side[fgt] = {
-            "ids": np.array(
-                [
-                    _column_uri(r.dataset, r.table, r.column)
-                    for r in grp.itertuples(index=False)
-                ]
-            ),
-            "tables": grp["table"].to_numpy(),
-            "content": _normalize(np.stack(grp["embedding"].to_numpy())),
-            "label": _normalize(np.stack(grp["label_embedding"].to_numpy())),
-            "true_ratio": grp["true_ratio"].fillna(0.5).to_numpy(dtype="float64"),
-            "index_of": {
-                (r.dataset, r.table, r.column): i
-                for i, r in enumerate(grp.itertuples(index=False))
-            },
-        }
-    bc = spark.sparkContext.broadcast(side)
-    worker = _similarity_partition_factory(bc, thresholds)
-    return profiles.select(
-        "dataset", "table", "column", "fgt"
-    ).mapInPandas(worker, TRIPLE_SCHEMA)
+    pdf = profiles.select(*_PROFILE_COLUMNS).toPandas()
+    return _similarity_edges(spark, pdf, thresholds)
 
 
 def build_dataset_graph(
@@ -168,11 +179,11 @@ def build_dataset_graph(
     profiles: DataFrame,
     thresholds: SimilarityThresholds = SimilarityThresholds(),
 ) -> TripleStore:
-    """Alg. 3 lines 20-24: union of metadata and similarity subgraphs."""
-    meta = build_metadata_subgraph(profiles)
-    sim = build_similarity_edges(spark, profiles, thresholds)
-    return TripleStore(spark, meta.unionByName(sim))
+    """Alg. 3 lines 20-24: union of metadata and similarity subgraphs.
 
-
-def nan_to_none(x: float) -> float | None:
-    return None if x is None or (isinstance(x, float) and math.isnan(x)) else x
+    ``profiles`` is evaluated once: its rows are collected and both
+    subgraphs are derived from them, so the caller need not persist it.
+    """
+    pdf = profiles.select(*_PROFILE_COLUMNS).toPandas()
+    meta = TripleStore.from_pandas(spark, _metadata_triples(pdf))
+    return meta.union(TripleStore(spark, _similarity_edges(spark, pdf, thresholds)))

@@ -1,4 +1,4 @@
-"""Fine-grained column type system and column-profile records (paper §3.2).
+"""Fine-grained column type system (paper §3.2).
 
 KGLiDS classifies every column into one of 7 fine-grained types and only
 compares columns of the same type when predicting similarity edges —
@@ -7,10 +7,7 @@ per-type CoLR embedding models.
 """
 from __future__ import annotations
 
-import dataclasses
 from enum import Enum
-
-import numpy as np
 
 EMBEDDING_DIM = 300
 """Dimensionality of a CoLR column embedding (paper: 300)."""
@@ -38,40 +35,3 @@ EMBEDDED_TYPES = [t for t in ALL_TYPES if t is not FineGrainedType.BOOLEAN]
 """Types that carry a CoLR embedding. Boolean columns are compared via
 true-ratio instead (Algorithm 3 lines 13-15), and the 1800-dim table
 embedding concatenates the six types in this order."""
-
-
-@dataclasses.dataclass
-class ColumnProfile:
-    """Output of Algorithm 2 for a single column: {M, fgt, S, E}."""
-
-    dataset: str
-    table: str
-    column: str
-    fgt: FineGrainedType
-    n_rows: int
-    n_nulls: int
-    n_distinct: int
-    true_ratio: float  # meaningful for BOOLEAN only, else NaN
-    mean: float  # numeric columns only, else NaN
-    std: float  # numeric columns only, else NaN
-    embedding: np.ndarray  # CoLR content embedding, EMBEDDING_DIM
-    label_embedding: np.ndarray  # word-embedding of the column name
-
-    def column_id(self) -> str:
-        return f"{self.dataset}/{self.table}/{self.column}"
-
-
-def table_embedding(profiles: list[ColumnProfile]) -> np.ndarray:
-    """1800-dim table embedding: per-type averages, concatenated (Eq. 1).
-
-    Types with no columns in the table contribute a zero block, which
-    keeps the representation fixed-size regardless of the table schema.
-    """
-    blocks = []
-    for fgt in EMBEDDED_TYPES:
-        of_type = [p.embedding for p in profiles if p.fgt == fgt]
-        if of_type:
-            blocks.append(np.mean(of_type, axis=0))
-        else:
-            blocks.append(np.zeros(EMBEDDING_DIM))
-    return np.concatenate(blocks)

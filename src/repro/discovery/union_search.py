@@ -94,10 +94,8 @@ def build_index(
 ) -> UnionSearchIndex:
     """Full KGLiDS preprocessing for a lake; returns the query index."""
     t0 = time.perf_counter()
-    profiles = profile_tables(spark, lake.tables, lake.name).persist()
-    graph = build_dataset_graph(spark, profiles, thresholds)
-    index = index_from_graph(graph, lake)
-    profiles.unpersist()
+    profiles = profile_tables(spark, lake.tables, lake.name)
+    index = index_from_graph(build_dataset_graph(spark, profiles, thresholds), lake)
     index.preprocessing_s = time.perf_counter() - t0
     return index
 

@@ -54,16 +54,5 @@ CONFIGS: dict[str, LakeConfig] = {
     ),
 }
 
-_SMALL = ("d3l_small", "tus_small", "santos_small")
-
-
 def build_benchmark(name: str) -> Lake:
     return build_lake(CONFIGS[name])
-
-
-def small_benchmarks() -> list[str]:
-    return list(_SMALL)
-
-
-def all_benchmarks() -> list[str]:
-    return list(CONFIGS)
