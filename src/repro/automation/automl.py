@@ -10,14 +10,11 @@ recommendation via KG queries over function-call parameter triples.
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 
 from repro.core import ontology as O
 from repro.core.triples import TripleStore
-from repro.core.word_embeddings import cosine
 
-from .embeddings import table_embedding_1800
 from .mining import pipeline_calls
 
 _CLASSIFIER_TAILS = (
@@ -25,17 +22,6 @@ _CLASSIFIER_TAILS = (
     "GradientBoostingClassifier", "KNeighborsClassifier",
     "DecisionTreeClassifier",
 )
-
-
-def most_similar_dataset(
-    pdf: pd.DataFrame, dataset_embeddings: dict[str, np.ndarray]
-) -> str:
-    """The unseen dataset's nearest neighbour in the KG (cosine, §4)."""
-    emb = table_embedding_1800(pdf)
-    return max(
-        dataset_embeddings,
-        key=lambda d: cosine(emb, dataset_embeddings[d]),
-    )
 
 
 def _classifier_calls(store: TripleStore) -> pd.DataFrame:

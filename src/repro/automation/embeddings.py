@@ -4,8 +4,8 @@ At inference time "the GNN model takes the unseen dataset in the form of
 a DataFrame and calculates the CoLR embedding for each column" — no
 Spark job, no raw-data-scale work: the model input is the fixed-size
 1800-dim table embedding regardless of dataset size. This module
-computes those embeddings directly from a pandas DataFrame with the same
-CoLR models the Spark profiler uses.
+computes those embeddings directly from a pandas DataFrame with the
+Spark profiler's own ``profile_column`` over the same sample.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core import colr
-from repro.core.type_inference import infer_fine_grained_type
+from repro.core.profiler import profile_column
 from repro.core.types import EMBEDDED_TYPES, EMBEDDING_DIM, FineGrainedType
 
 
@@ -23,9 +23,8 @@ def column_embeddings(
     """fgt + 300-dim CoLR embedding per column."""
     out = {}
     for col in pdf.columns:
-        s = pdf[col]
-        fgt = infer_fine_grained_type(s)
-        out[str(col)] = (fgt, colr.embed_values(s.dropna().to_numpy(), fgt))
+        fgt, *_, emb = profile_column(colr.sample_values(pdf[col]))
+        out[str(col)] = (fgt, emb)
     return out
 
 

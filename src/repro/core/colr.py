@@ -31,7 +31,10 @@ _NGRAM_DIM = 64
 
 
 def _net(fgt: FineGrainedType, d_in: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    g = np.random.default_rng(abs(hash(("colr", fgt.value))) % (2**32))
+    # a stable digest, not ``hash()``: every process (Spark workers and the
+    # driver) must build the same network whatever its PYTHONHASHSEED
+    digest = hashlib.blake2b(repr(("colr", fgt.value)).encode(), digest_size=8).digest()
+    g = np.random.default_rng(int.from_bytes(digest, "big") % (2**32))
     w1 = g.standard_normal((d_in, _HIDDEN)) / np.sqrt(d_in)
     b1 = g.standard_normal(_HIDDEN) * 0.1
     w2 = g.standard_normal((_HIDDEN, EMBEDDING_DIM)) / np.sqrt(_HIDDEN)
@@ -147,19 +150,20 @@ def sample_size(n: int) -> int:
     return min(n, max(int(0.1 * n), 1000))
 
 
-def sample_values(values: np.ndarray | list, *, seed: int = 0) -> np.ndarray:
+def sample_values(values: pd.Series | np.ndarray | list, *, seed: int = 0) -> pd.Series:
     """Algorithm 2's sample of a column: its non-null values, at most
-    ``sample_size`` of them drawn without replacement."""
-    values = np.asarray(values, dtype=object)
-    values = values[pd.notna(values)]
-    k = sample_size(values.size)
-    if k < values.size:
-        idx = np.random.default_rng(seed).choice(values.size, k, replace=False)
-        values = values[idx]
-    return values
+    ``sample_size`` of them drawn without replacement, in the column's
+    dtype. The one sampler of Alg. 2, for the Spark profiler and the
+    driver alike."""
+    s = values if isinstance(values, pd.Series) else pd.Series(values, dtype=object)
+    s = s.dropna()
+    k = sample_size(len(s))
+    if k < len(s):
+        s = s.iloc[np.random.default_rng(seed).choice(len(s), k, replace=False)]
+    return s.reset_index(drop=True)
 
 
-def embed_sample(values: np.ndarray | list, fgt: FineGrainedType) -> np.ndarray:
+def embed_sample(values: pd.Series | np.ndarray | list, fgt: FineGrainedType) -> np.ndarray:
     """Average CoLR embedding over an already-drawn sample of non-null
     values (Alg. 2 l. 9-10)."""
     values = np.asarray(values, dtype=object)
@@ -177,6 +181,6 @@ def embed_sample(values: np.ndarray | list, fgt: FineGrainedType) -> np.ndarray:
     return _forward(feats, fgt).mean(axis=0) - _CENTERS[fgt]
 
 
-def embed_values(values: np.ndarray | list, fgt: FineGrainedType, *, seed: int = 0) -> np.ndarray:
+def embed_values(values: pd.Series | np.ndarray | list, fgt: FineGrainedType, *, seed: int = 0) -> np.ndarray:
     """Average CoLR embedding over a sample of ``values`` (Alg. 2 l. 8-10)."""
     return embed_sample(sample_values(values, seed=seed), fgt)

@@ -1,14 +1,16 @@
 """Data Profiling — Algorithm 2 — as a Spark DataFrame job.
 
 Tables are exploded into a long ``columns`` DataFrame (one row per
-column, with a serialized value sample), then each column is profiled in
-parallel with ``mapInPandas``: fine-grained type inference, statistics,
-and the averaged CoLR embedding over a 10 % sample (min 1000 values).
+column, with its pickled value sample), then each column is profiled in
+parallel with ``mapInPandas`` by ``profile_column``: fine-grained type
+inference, statistics, and the averaged CoLR embedding over a 10 %
+sample (min 1000 values).
 The output is a ``profiles`` DataFrame — the distributed equivalent of
 the per-column JSON documents the paper dumps.
 """
 from __future__ import annotations
 
+import pickle
 from collections.abc import Iterator
 
 import numpy as np
@@ -26,8 +28,7 @@ COLUMNS_SCHEMA = T.StructType(
         T.StructField("dataset", T.StringType(), False),
         T.StructField("table", T.StringType(), False),
         T.StructField("column", T.StringType(), False),
-        T.StructField("dtype", T.StringType(), False),
-        T.StructField("values", T.ArrayType(T.StringType(), True), False),
+        T.StructField("sample", T.BinaryType(), False),
         T.StructField("n_rows", T.LongType(), False),
         T.StructField("n_nulls", T.LongType(), False),
         T.StructField("n_distinct", T.LongType(), False),
@@ -51,7 +52,23 @@ PROFILE_SCHEMA = T.StructType(
     ]
 )
 
-_TRUTHY = {"true", "t", "yes", "y", "1", "1.0"}
+
+def profile_column(
+    sample: pd.Series,
+) -> tuple[FineGrainedType, float | None, float | None, float | None, np.ndarray]:
+    """Algorithm 2 over one column's sample (``colr.sample_values``):
+    fine-grained type, true ratio (booleans), mean and std (numbers) and
+    the averaged CoLR embedding. Spark workers and the driver-side
+    automation path (§4.1) both profile columns with this function."""
+    fgt = infer_fine_grained_type(sample)
+    true_ratio = mean = std = None
+    if fgt is FineGrainedType.BOOLEAN:
+        true_ratio = float(colr._bool_features(sample.to_numpy()).mean())
+    if fgt in (FineGrainedType.INT, FineGrainedType.FLOAT):
+        num = pd.to_numeric(sample, errors="coerce").dropna()
+        if len(num):
+            mean, std = float(num.mean()), float(num.std() or 0.0)
+    return fgt, true_ratio, mean, std, colr.embed_sample(sample, fgt)
 
 
 def columns_dataframe(
@@ -61,65 +78,34 @@ def columns_dataframe(
 
     The value sample (Algorithm 2's ``col.sample(max(0.1|col|, 1000))``)
     is taken here so executors never see full columns — the profiler's
-    memory is bounded per column regardless of table size. Full-column
+    memory is bounded per column regardless of table size. It is shipped
+    pickled, so workers profile it in the column's own dtype. Full-column
     statistics (null/distinct counts) are computed before sampling.
     """
     rows = []
     for tname, pdf in tables.items():
         for cname in pdf.columns:
             s = pdf[cname]
-            non_null = s.dropna()
-            k = colr.sample_size(len(non_null))
-            sample = (
-                non_null.sample(k, random_state=0) if k < len(non_null) else non_null
-            )
             rows.append(
                 {
                     "dataset": dataset,
                     "table": tname,
                     "column": str(cname),
-                    "dtype": str(s.dtype),
-                    "values": [str(v) for v in sample],
+                    "sample": pickle.dumps(colr.sample_values(s)),
                     "n_rows": int(len(s)),
                     "n_nulls": int(s.isna().sum()),
-                    "n_distinct": int(non_null.nunique()),
+                    "n_distinct": int(s.nunique()),
                 }
             )
     n_part = max(8, min(64, len(rows) // 32 or 1))
     return spark.createDataFrame(rows, COLUMNS_SCHEMA).repartition(n_part)
 
 
-def _series_from(values: list[str], dtype: str) -> pd.Series:
-    """Reconstruct a typed Series from the serialized sample."""
-    s = pd.Series(values, dtype="object")
-    if dtype.startswith(("int", "Int", "uint")):
-        return pd.to_numeric(s, errors="coerce").astype("Int64")
-    if dtype.startswith(("float", "Float")):
-        return pd.to_numeric(s, errors="coerce")
-    if dtype.startswith("bool"):
-        return s.str.lower().isin(_TRUTHY)
-    if dtype.startswith("datetime"):
-        return pd.to_datetime(s, errors="coerce", format="mixed")
-    return s
-
-
 def _profile_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
     for batch in batches:
         out = []
         for row in batch.itertuples(index=False):
-            s = _series_from(list(row.values), row.dtype)
-            fgt = infer_fine_grained_type(s)
-            vals = s.dropna().to_numpy()
-            true_ratio = mean = std = None
-            if fgt is FineGrainedType.BOOLEAN:
-                sv = pd.Series(vals).astype(str).str.strip().str.lower()
-                true_ratio = float(sv.isin(_TRUTHY).mean()) if len(sv) else 0.0
-            if fgt in (FineGrainedType.INT, FineGrainedType.FLOAT):
-                num = pd.to_numeric(pd.Series(vals), errors="coerce").dropna()
-                if len(num):
-                    mean, std = float(num.mean()), float(num.std() or 0.0)
-            # ``values`` is already Algorithm 2's sample (columns_dataframe)
-            emb = colr.embed_sample(vals, fgt)
+            fgt, true_ratio, mean, std, emb = profile_column(pickle.loads(row.sample))
             out.append(
                 {
                     "dataset": row.dataset,
@@ -163,12 +149,3 @@ def type_breakdown(profiles: DataFrame) -> pd.DataFrame:
     order = [t.value for t in FineGrainedType]
     pdf["fgt"] = pd.Categorical(pdf["fgt"], categories=order, ordered=True)
     return pdf.sort_values("fgt").reset_index(drop=True)
-
-
-def profiles_to_numpy(
-    profiles_pdf: pd.DataFrame,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stack embedding columns into (content, label) matrices."""
-    content = np.stack(profiles_pdf["embedding"].to_numpy())
-    label = np.stack(profiles_pdf["label_embedding"].to_numpy())
-    return content, label

@@ -110,10 +110,6 @@ def build_dataset(spec: CleaningDatasetSpec, seed: int = 0) -> pd.DataFrame:
     return pdf
 
 
-def load_all(seed: int = 0) -> dict[str, tuple[CleaningDatasetSpec, pd.DataFrame]]:
-    return {s.name: (s, build_dataset(s, seed)) for s in SPECS}
-
-
 # Paper Table 5 numbers, for EXPERIMENTS.md side-by-side output.
 PAPER_TABLE5 = {
     "hepatitis": (69.76, 67.78, 69.35),

@@ -99,12 +99,6 @@ def build_dataset(
     return pdf, truth
 
 
-def load_all(seed: int = 0):
-    return {
-        s.name: (s, *build_dataset(s, seed)) for s in SPECS
-    }
-
-
 # Paper Table 6: (baseline, autolearn_reported, autolearn_reproduced, kglids)
 # reproduced value None = TO (>3h) or OOM in the paper's rerun.
 PAPER_TABLE6 = {

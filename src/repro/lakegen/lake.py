@@ -10,6 +10,7 @@ truth: two tables are unionable iff they derive from the same base.
 """
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,7 +160,8 @@ def build_lake(cfg: LakeConfig) -> Lake:
                 names, kind = ([f"notes_{concept[-1]}", f"remarks_{concept[-1]}"], "nl")
             else:
                 names, kind = _CONCEPTS[concept]
-            salt = gid * 13 + (hash(concept) % 11)
+            digest = hashlib.blake2b(concept.encode(), digest_size=8).digest()
+            salt = gid * 13 + int.from_bytes(digest, "big") % 11
             base[concept] = (names, _generate(kind, rng, base_rows, salt), kind)
         # derive members by horizontal + vertical partitioning + renaming
         for m in range(cfg.members_per_group):

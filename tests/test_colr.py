@@ -1,4 +1,9 @@
 """Unit tests for the CoLR embedding models (DESIGN.md S3)."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -88,3 +93,44 @@ def test_fixed_size_regardless_of_length():
     small = colr.embed_values(np.arange(10), FineGrainedType.INT)
     large = colr.embed_values(np.arange(100_000), FineGrainedType.INT)
     assert small.shape == large.shape == (EMBEDDING_DIM,)
+
+
+_HASH_SEED_PROBE = """
+import hashlib
+import numpy as np
+import pandas as pd
+from repro.core import colr
+from repro.core.types import FineGrainedType
+from repro.lakegen.lake import LakeConfig, build_lake
+
+lake = build_lake(LakeConfig(name="h", n_groups=3, members_per_group=2, rows=40,
+                             n_query=1, k=1, seed=4))
+h = hashlib.sha256()
+for name in sorted(lake.tables):
+    h.update(name.encode())
+    h.update(pd.util.hash_pandas_object(lake.tables[name], index=True).to_numpy().tobytes())
+    h.update(repr(list(lake.tables[name].columns)).encode())
+print(h.hexdigest())
+vals = {"int": np.arange(9), "float": np.linspace(0, 5, 50),
+        "boolean": ["true", "false"], "date": ["2020-01-01", "2021-02-02"]}
+for fgt in FineGrainedType:
+    v = vals.get(fgt.value, ["alpha", "beta"])
+    print(fgt.value, colr.embed_values(v, fgt).tobytes().hex())
+"""
+
+
+def test_same_lake_and_embeddings_under_any_hash_seed():
+    """Lake values and CoLR weights are seeded from a digest, not from
+    ``hash()``, so processes with different hash seeds (Spark workers
+    and the driver) agree."""
+    src = str(Path(colr.__file__).parents[2])
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_PROBE],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outs[0].count("\n") == 1 + len(FineGrainedType)
+    assert outs[0] == outs[1]

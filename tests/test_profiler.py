@@ -1,9 +1,11 @@
 """Tests for the Spark data profiler (Algorithm 2)."""
+import pickle
+
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core import profiler
+from repro.core import colr, profiler
 from repro.core.types import EMBEDDING_DIM, FineGrainedType
 from repro.oracle import assert_equivalent
 
@@ -97,40 +99,27 @@ def test_type_breakdown_matches_oracle(spark, profiles):
 
 
 def test_sampling_bounds_serialized_values(spark):
-    """Columns DF carries at most max(0.1n, 1000) values per column."""
+    """Columns DF carries at most max(0.1n, 1000) values per column, in
+    the column's dtype."""
     big = {"t": pd.DataFrame({"x": np.arange(30_000)})}
     cols = profiler.columns_dataframe(spark, big, "d")
     row = cols.collect()[0]
-    assert len(row["values"]) == 3000
+    sample = pickle.loads(row["sample"])
+    assert len(sample) == 3000
+    assert sample.dtype == big["t"]["x"].dtype
     assert row["n_rows"] == 30_000
-
-
-def test_profiles_to_numpy(profiles):
-    pdf = profiles.toPandas()
-    content, label = profiler.profiles_to_numpy(pdf)
-    assert content.shape == (len(pdf), EMBEDDING_DIM)
-    assert label.shape == (len(pdf), 100)
 
 
 def test_worker_embeds_the_whole_shipped_sample(spark):
     """Algorithm 2 samples once: a 20,000-value column ships max(10 %,
     1000) = 2,000 values, and the embedding averages all 2,000 of them."""
-    from repro.core import colr
-
     vals = np.random.default_rng(9).normal(50, 10, 20_000).round(3)
     cols = profiler.columns_dataframe(spark, {"t": pd.DataFrame({"x": vals})}, "d")
-    shipped = cols.collect()[0]["values"]
+    shipped = pickle.loads(cols.collect()[0]["sample"])
     assert len(shipped) == 2000
     prof = profiler.profile_columns(cols).collect()[0]
     assert prof["fgt"] == FineGrainedType.FLOAT.value
-    sample = np.array(shipped, dtype="float64")
-
-    def mean_over_sample(_):
-        fgt = FineGrainedType.FLOAT
-        feats = colr._numeric_features(sample)
-        return (colr._forward(feats, fgt).mean(axis=0) - colr._CENTERS[fgt]).tolist()
-
-    # computed on a Spark worker: CoLR's weights depend on the process's
-    # hash seed, which workers and the driver do not share
-    want = spark.sparkContext.parallelize([0], 1).map(mean_over_sample).collect()[0]
+    fgt = FineGrainedType.FLOAT
+    feats = colr._numeric_features(shipped.to_numpy())
+    want = colr._forward(feats, fgt).mean(axis=0) - colr._CENTERS[fgt]
     np.testing.assert_allclose(prof["embedding"], want, rtol=0, atol=1e-12)
