@@ -48,7 +48,13 @@ os.environ.setdefault(
 )
 
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
+
+# Property tests draw the same cases in every run, and Spark-backed
+# examples are not failed for their latency.
+settings.register_profile("repro", deadline=None, derandomize=True)
+settings.load_profile("repro")
 
 
 @pytest.fixture(scope="session")

@@ -64,9 +64,7 @@ def recommend_hyperparameters(
     mine = calls[(calls["dataset"] == dataset) & (calls["classifier"] == classifier)]
     if mine.empty:
         return pd.DataFrame(columns=["hyperparameter", "value", "weight"])
-    params = store.match_bgp(
-        [("?stmt", O.HAS_PARAMETER, "?param")]
-    ).toPandas()
+    params = store.match_bgp([("?stmt", O.HAS_PARAMETER, "?param")])
     merged = mine.merge(params, on="stmt")
     split = merged["param"].str.split("=", n=1, expand=True)
     merged["hyperparameter"] = split[0]

@@ -26,7 +26,7 @@ def pipeline_calls(store: TripleStore) -> pd.DataFrame:
             ("?pipe", O.USES_DATASET, "?ds"),
             ("?pipe", O.HAS_VOTES, "?votes"),
         ]
-    ).toPandas()
+    )
     rows["dataset"] = rows["ds"].str.rsplit("/", n=1).str[-1]
     return rows
 

@@ -99,7 +99,7 @@ def mine_column_transform_labels(store: TripleStore) -> pd.DataFrame:
             ("?stmt", O.CALLS, "?func"),
             ("?stmt", O.READS_COLUMN, "?col"),
         ]
-    ).toPandas()
+    )
     prefix = O.res("library") + "/"
     func = rows["func"].str.removeprefix(prefix)
     rows = rows[func.isin(["numpy/log", "numpy/sqrt"])].copy()

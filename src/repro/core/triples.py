@@ -1,13 +1,16 @@
-"""A Spark-DataFrame RDF-star triple store with named graphs (sub. S4).
+"""An RDF-star triple store with named graphs, built on Spark and
+queried from a driver snapshot (sub. S4).
 
 The paper stores the LiDS graph in GraphDB and queries it with SPARQL.
 Offline we keep the same data model — (graph, subject, predicate,
 object, weight) quads where ``weight`` is the RDF-star edge annotation
-(similarity / prediction scores) — in a Spark DataFrame, and answer
-basic-graph-pattern (BGP) queries by chaining DataFrame joins, which is
-what a SPARQL engine compiles a BGP to anyway. Every triple also carries
-the Table-4 "modelled aspect" of its predicate for the graph-breakdown
-accounting.
+(similarity / prediction scores) — in a Spark DataFrame, the store of
+record for building the graph and for its statistics. Basic-graph-
+pattern (BGP) queries, the SPARQL substitute, are answered in pandas
+from the quads collected to the driver by the first query: a graph of
+tens of thousands of triples is small, its answers smaller. Every
+triple also carries the Table-4 "modelled aspect" of its predicate for
+the graph-breakdown accounting.
 
 Schema: g, s, p, o: string · w: double (NaN = unannotated) · aspect: string
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -65,21 +69,21 @@ class TripleBuilder:
 
 
 class TripleStore:
-    """LiDS-graph storage + BGP query over a Spark DataFrame of quads."""
+    """LiDS-graph storage in a Spark DataFrame of quads, BGP queries on
+    its driver snapshot."""
 
     def __init__(self, spark: SparkSession, df: DataFrame):
         self.spark = spark
         self.df = df
+        # (s, p, o, w) on the driver, collected by the first query. A store
+        # is never mutated (``union`` makes a new one, ``persist`` keeps
+        # the content), so the snapshot never goes stale.
+        self._quads: pd.DataFrame | None = None
 
     # ---------- construction ----------
     @classmethod
     def empty(cls, spark: SparkSession) -> "TripleStore":
         return cls(spark, spark.createDataFrame([], TRIPLE_SCHEMA))
-
-    @classmethod
-    def from_rows(cls, spark: SparkSession, rows: list[tuple]) -> "TripleStore":
-        pdf = pd.DataFrame(rows, columns=["g", "s", "p", "o", "w", "aspect"])
-        return cls.from_pandas(spark, pdf)
 
     @classmethod
     def from_pandas(cls, spark: SparkSession, pdf: pd.DataFrame) -> "TripleStore":
@@ -133,51 +137,42 @@ class TripleStore:
         return pdf
 
     # ---------- queries ----------
-    def match(
-        self,
-        s: str | None = None,
-        p: str | None = None,
-        o: str | None = None,
-        g: str | None = None,
-    ) -> DataFrame:
-        """Single triple-pattern match; None = wildcard."""
-        out = self.df
-        for col, val in (("s", s), ("p", p), ("o", o), ("g", g)):
-            if val is not None:
-                out = out.filter(F.col(col) == val)
-        return out
-
-    def match_bgp(self, patterns: list[tuple[str, str, str]]) -> DataFrame:
+    def match_bgp(self, patterns: list[tuple[str, str, str]]) -> pd.DataFrame:
         """Conjunctive basic-graph-pattern query — the SPARQL substitute.
 
         Each pattern is (s, p, o); a term starting with '?' is a
-        variable. Returns one column per variable. Joins are delegated
-        to Catalyst, so multi-pattern queries run as ordinary Spark
-        shuffle joins over the quad table.
+        variable, used at most once per pattern. Evaluated on the driver
+        snapshot of the quads: constants are boolean masks, and patterns
+        are merged in the given order on their shared variables (a cross
+        product when none is shared). Returns a pandas frame of one
+        column per variable, then the weight ``_w<i>`` of pattern i,
+        distinct over the variables: an answer reached through several
+        quads (one triple in two named graphs) keeps the weights of the
+        first.
         """
         if not patterns:
             raise ValueError("empty BGP")
-        result: DataFrame | None = None
-        for i, (s, p, o) in enumerate(patterns):
-            part = self.df
-            rename = {}
-            for col, term in (("s", s), ("p", p), ("o", o)):
+        if self._quads is None:
+            self._quads = self.df.select("s", "p", "o", "w").toPandas()
+        quads = self._quads
+        result: pd.DataFrame | None = None
+        for i, pattern in enumerate(patterns):
+            mask = np.ones(len(quads), dtype=bool)
+            column_of: dict[str, str] = {}
+            for col, term in zip("spo", pattern):
                 if term.startswith("?"):
-                    rename[col] = term[1:]
+                    column_of[term[1:]] = col
                 else:
-                    part = part.filter(F.col(col) == term)
-            cols = [F.col(c).alias(v) for c, v in rename.items()]
-            cols.append(F.col("w").alias(f"_w{i}"))
-            part = part.select(*cols)
+                    mask &= quads[col].to_numpy() == term
+            part = quads.loc[mask, [*column_of.values(), "w"]]
+            part.columns = [*column_of, f"_w{i}"]
             if result is None:
                 result = part
             else:
-                shared = [c for c in part.columns if c in result.columns and not c.startswith("_w")]
-                result = (
-                    result.join(part, on=shared, how="inner")
-                    if shared
-                    else result.crossJoin(part)
-                )
+                shared = [c for c in column_of if c in result.columns]
+                result = (result.merge(part, on=shared) if shared
+                          else result.merge(part, how="cross"))
         assert result is not None
         var_cols = [c for c in result.columns if not c.startswith("_w")]
-        return result.select(*var_cols, *[c for c in result.columns if c.startswith("_w")]).dropDuplicates(var_cols)
+        weights = [c for c in result.columns if c.startswith("_w")]
+        return result[var_cols + weights].drop_duplicates(var_cols).reset_index(drop=True)

@@ -9,7 +9,6 @@ as in the paper's heart-failure walkthrough.
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import functions as F
 
 from repro.core import ontology as O
 from repro.core.triples import TripleStore
@@ -26,24 +25,16 @@ def search_tables_based_on_specific_columns(
     disjunctively) or a nested list of terms (matched conjunctively),
     e.g. ``[["heart", "disease"], "patients"]``.
     """
-    rows = (
-        store.df.filter(
-            (F.col("p") == O.RDFS_LABEL)
-            | ((F.col("p") == O.RDF_TYPE) & (F.col("o") == O.COLUMN))
-        )
-        .select("s", "p", F.lower(F.col("o")).alias("label"))
-        .toPandas()
+    cols = store.match_bgp(
+        [("?col", O.RDF_TYPE, O.COLUMN), ("?col", O.RDFS_LABEL, "?label")]
     )
-    is_label = rows["p"] == O.RDFS_LABEL
-    columns = set(rows.loc[~is_label, "s"])  # subjects typed kglids:Column
-    cols = rows[is_label & rows["s"].isin(columns)]
-    parts = cols["s"].str.removeprefix(O.RESOURCE).str.split("/")
+    parts = cols["col"].str.removeprefix(O.RESOURCE).str.split("/")
     frame = pd.DataFrame(
         {
             "dataset": parts.str[0],
             "table": parts.str[1],
             "column": parts.str[2],
-            "label": cols["label"].to_numpy(),
+            "label": cols["label"].str.lower(),
         }
     )
 
@@ -109,7 +100,7 @@ def get_top_used_libraries(
     ]
     if task is not None:
         patterns.append(("?pipe", O.HAS_TASK, task))
-    calls = store.match_bgp(patterns).toPandas()
+    calls = store.match_bgp(patterns)
     calls["library"] = calls["lib"].str.rsplit("/", n=1).str[-1]
     return (
         calls.groupby("library")["pipe"]
@@ -133,7 +124,7 @@ def get_pipelines_calling_libraries(
         patterns.append((f"?stmt{i}", O.IS_PART_OF, "?pipe"))
     patterns.append(("?pipe", O.HAS_VOTES, "?votes"))
     patterns.append(("?pipe", O.HAS_AUTHOR, "?author"))
-    rows = store.match_bgp(patterns).toPandas()
+    rows = store.match_bgp(patterns)
     if rows.empty:
         return pd.DataFrame(columns=["pipeline", "author", "votes"])
     rows["pipeline"] = rows["pipe"].str.rsplit("/", n=1).str[-1]

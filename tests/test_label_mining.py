@@ -2,17 +2,25 @@
 
 The reference functions are the three spellings of the query that
 ``mine_cleaning_labels``, ``mine_scaler_labels`` and automl's
-``_classifier_calls`` had before they shared ``automation.mining``.
+``_classifier_calls`` had before they shared ``automation.mining``,
+answered by the Spark join chain the BGP evaluator replaced.
 """
 import pandas as pd
 import pytest
 
 from repro.automation import automl
 from repro.automation.cleaning import _CALL_TO_OP, mine_cleaning_labels
-from repro.automation.transformation import _SCALER_CALLS, mine_scaler_labels
+from repro.automation.transformation import (
+    _SCALER_CALLS,
+    mine_column_transform_labels,
+    mine_scaler_labels,
+)
 from repro.core import ontology as O
 from repro.core.pipeline_abstraction import SCRIPTS_COLUMNS, abstract_corpus
+from repro.interfaces import api
 from repro.pipelines_corpus.generator import make_corpus
+
+from .test_triples import spark_bgp
 
 _BGP = [
     ("?stmt", O.CALLS, "?func"),
@@ -23,7 +31,7 @@ _BGP = [
 
 
 def _ref_vote_weighted(store, call_to_op):
-    rows = store.match_bgp(_BGP).toPandas()
+    rows = spark_bgp(store.df, _BGP).toPandas()
     prefix = O.res("library") + "/"
     rows["op"] = rows["func"].str.removeprefix(prefix).map(call_to_op)
     rows = rows.dropna(subset=["op"])
@@ -37,7 +45,7 @@ def _ref_vote_weighted(store, call_to_op):
 
 
 def _ref_classifier_calls(store):
-    rows = store.match_bgp(_BGP).toPandas()
+    rows = spark_bgp(store.df, _BGP).toPandas()
     rows["classifier"] = rows["func"].str.rsplit("/", n=1).str[-1]
     rows = rows[rows["classifier"].isin(automl._CLASSIFIER_TAILS)].copy()
     rows["dataset"] = rows["ds"].str.rsplit("/", n=1).str[-1]
@@ -70,3 +78,26 @@ def test_classifier_calls_unchanged(store):
     got = automl._classifier_calls(store)
     assert len(got) > 0
     pd.testing.assert_frame_equal(ordered(got), ordered(_ref_classifier_calls(store)))
+
+
+def test_no_spark_job_after_the_snapshot(spark, store):
+    """Once a query has collected the store, the §5 queries and label
+    mining run on the driver alone."""
+    store.match_bgp([("?s", O.RDF_TYPE, "?type")])
+    sc, group = spark.sparkContext, "bgp-after-snapshot"
+    sc.setJobGroup(group, "BGP queries after the snapshot")
+    try:
+        api.get_top_used_libraries(store, 10)
+        api.get_top_used_libraries(store, 10, task="classification")
+        api.get_pipelines_calling_libraries(
+            store, "pandas.read_csv", "sklearn.model_selection.train_test_split"
+        )
+        models = automl.recommend_ml_models(store, "kgds_0000")
+        automl.recommend_hyperparameters(store, "kgds_0000", models["classifier"].iloc[0])
+        api.search_tables_based_on_specific_columns(store, ["age"])
+        mine_cleaning_labels(store)
+        mine_scaler_labels(store)
+        mine_column_transform_labels(store)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert list(sc.statusTracker().getJobIdsForGroup(group)) == []

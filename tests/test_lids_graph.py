@@ -38,7 +38,7 @@ def test_contains_all_three_subgraphs(lids):
 
 
 def test_linker_applied_before_union(lids):
-    reads = {r["o"] for r in lids.match(p=O.READS_COLUMN).collect()}
+    reads = set(lids.match_bgp([("?stmt", O.READS_COLUMN, "?col")])["col"])
     assert O.res("titanic", "train", "Age") in reads
     assert O.res("titanic", "train", "Ghost") not in reads
 

@@ -1,11 +1,46 @@
-"""Tests for the Spark triple store and BGP query engine (sub. S4)."""
+"""Tests for the triple store and its BGP evaluator (sub. S4)."""
 import math
 
+import pandas as pd
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
 from repro.core import ontology as O
 from repro.core.triples import DEFAULT_GRAPH, TripleBuilder, TripleStore
 from repro.oracle import assert_equivalent
+
+
+def spark_bgp(df: DataFrame, patterns: list[tuple[str, str, str]]) -> DataFrame:
+    """Reference BGP evaluator: a chain of Spark joins over the quads
+    ``df``, one filtered projection per pattern, deduplicated over the
+    variables."""
+    result: DataFrame | None = None
+    for i, (s, p, o) in enumerate(patterns):
+        part = df
+        rename = {}
+        for col, term in (("s", s), ("p", p), ("o", o)):
+            if term.startswith("?"):
+                rename[col] = term[1:]
+            else:
+                part = part.filter(F.col(col) == term)
+        cols = [F.col(c).alias(v) for c, v in rename.items()]
+        cols.append(F.col("w").alias(f"_w{i}"))
+        part = part.select(*cols)
+        if result is None:
+            result = part
+        else:
+            shared = [c for c in part.columns if c in result.columns and not c.startswith("_w")]
+            result = (
+                result.join(part, on=shared, how="inner")
+                if shared
+                else result.crossJoin(part)
+            )
+    assert result is not None
+    var_cols = [c for c in result.columns if not c.startswith("_w")]
+    return result.select(*var_cols, *[c for c in result.columns if c.startswith("_w")]).dropDuplicates(var_cols)
 
 
 @pytest.fixture(scope="module")
@@ -31,23 +66,23 @@ def test_counts(store):
 
 
 def test_match_single_pattern(store):
-    rows = store.match(p=O.RDF_TYPE, o=O.TABLE).collect()
-    assert {r["s"] for r in rows} == {"a", "b"}
+    rows = store.match_bgp([("?s", O.RDF_TYPE, O.TABLE)])
+    assert set(rows["s"]) == {"a", "b"}
 
 
 def test_match_with_graph(store):
-    assert store.match(g="g1").count() == 9
-    assert store.match(g="nope").count() == 0
+    assert store.df.filter(F.col("g") == "g1").count() == 9
+    assert store.df.filter(F.col("g") == "nope").count() == 0
 
 
 def test_rdf_star_weight(store):
-    row = store.match(p=O.CONTENT_SIMILARITY).collect()[0]
-    assert row["w"] == pytest.approx(0.97)
+    rows = store.match_bgp([("?s", O.CONTENT_SIMILARITY, "?o")])
+    assert rows["_w0"].iloc[0] == pytest.approx(0.97)
 
 
 def test_unannotated_weight_is_null(store):
-    row = store.match(s="a", p=O.RDF_TYPE).collect()[0]
-    assert row["w"] is None or math.isnan(row["w"])
+    rows = store.match_bgp([("a", O.RDF_TYPE, "?o")])
+    assert math.isnan(rows["_w0"].iloc[0])
 
 
 def test_bgp_join(store):
@@ -55,7 +90,9 @@ def test_bgp_join(store):
     df = store.match_bgp(
         [("?c", O.IS_PART_OF, "?t"), ("?t", O.RDF_TYPE, O.TABLE)]
     )
-    got = {(r["c"], r["t"]) for r in df.collect()}
+    assert isinstance(df, pd.DataFrame)
+    assert list(df.columns) == ["c", "t", "_w0", "_w1"]
+    got = set(zip(df["c"], df["t"]))
     assert got == {("c1", "a"), ("c2", "a"), ("c3", "b")}
 
 
@@ -67,9 +104,8 @@ def test_bgp_with_similarity_chain(store):
             ("?d", O.IS_PART_OF, "?t2"),
         ]
     )
-    rows = df.collect()
-    assert len(rows) == 1
-    assert (rows[0]["t1"], rows[0]["t2"]) == ("a", "b")
+    assert len(df) == 1
+    assert (df["t1"].iloc[0], df["t2"].iloc[0]) == ("a", "b")
 
 
 def test_bgp_empty_raises(store):
@@ -82,7 +118,7 @@ def test_bgp_matches_duckdb_oracle(spark, store):
     triples_pdf = store.df.toPandas()[["s", "p", "o"]]
     got = store.match_bgp(
         [("?c", O.IS_PART_OF, "?t"), ("?t", O.RDF_TYPE, O.TABLE)]
-    ).select("c", "t")
+    )[["c", "t"]]
     sql = f"""
         SELECT t1.s AS c, t1.o AS t
         FROM triples t1 JOIN triples t2 ON t1.o = t2.s
@@ -92,12 +128,11 @@ def test_bgp_matches_duckdb_oracle(spark, store):
     assert_equivalent(got, sql, triples=triples_pdf)
 
 
-def test_aspect_breakdown_matches_oracle(spark, store):
+def test_aspect_breakdown_matches_oracle(store):
     pdf = store.aspect_breakdown()
     assert pdf["pct"].sum() == pytest.approx(100.0)
-    got = spark.createDataFrame(pdf[["aspect", "n_triples"]])
     sql = "SELECT aspect, COUNT(*) AS n_triples FROM triples GROUP BY aspect"
-    assert_equivalent(got, sql, triples=store.df.toPandas())
+    assert_equivalent(pdf[["aspect", "n_triples"]], sql, triples=store.df.toPandas())
 
 
 def test_union_and_empty(spark, store):
@@ -116,8 +151,65 @@ def test_builder_default_graph():
     assert tb.to_pandas()["g"].iloc[0] == DEFAULT_GRAPH
 
 
-def test_from_rows(spark):
-    ts = TripleStore.from_rows(
-        spark, [("g", "s", "p", "o", 0.5, "other")]
+# ---------- property test: the evaluator against DuckDB and Spark ----------
+_NODES, _PREDICATES, _VARIABLES = ["a", "b"], ["p", "q"], ["?x", "?y", "?z"]
+_TRIPLES = [(s, p, o) for s in _NODES for p in _PREDICATES for o in _NODES]
+
+
+@st.composite
+def _quads(draw) -> pd.DataFrame:
+    """Quads over a small alphabet; a triple may sit in both named
+    graphs, always with the same weight (None: the triple is absent)."""
+    weights = draw(st.lists(st.sampled_from([None, math.nan, 0.25, 0.5]),
+                            min_size=len(_TRIPLES), max_size=len(_TRIPLES)))
+    rows = [
+        (g, s, p, o, w, "other")
+        for (s, p, o), w in zip(_TRIPLES, weights) if w is not None
+        for g in draw(st.sampled_from([["g1"], ["g2"], ["g1", "g2"]]))
+    ]
+    assume(rows)
+    return pd.DataFrame(rows, columns=["g", "s", "p", "o", "w", "aspect"])
+
+
+def _binds_a_variable_twice(pattern) -> bool:
+    variables = [t for t in pattern if t.startswith("?")]
+    return len(variables) != len(set(variables))
+
+
+_node_term = st.sampled_from(_VARIABLES + _NODES)
+_bgps = st.lists(
+    st.tuples(_node_term, st.sampled_from(_VARIABLES + _PREDICATES), _node_term)
+    .filter(lambda pattern: not _binds_a_variable_twice(pattern)),
+    min_size=1, max_size=4,
+).filter(lambda patterns: any(t.startswith("?") for p in patterns for t in p))
+
+
+def _duckdb_bgp(patterns) -> str:
+    """The BGP as a DuckDB self-join of ``quads``, one alias per pattern."""
+    first, where = {}, []
+    for i, pattern in enumerate(patterns):
+        for col, term in zip("spo", pattern):
+            ref = f"t{i}.{col}"
+            if not term.startswith("?"):
+                where.append(f"{ref} = '{term}'")
+            elif term in first:
+                where.append(f"{ref} = {first[term]}")
+            else:
+                first[term] = ref
+    select = [f"{ref} AS {v[1:]}" for v, ref in first.items()]
+    select += [f"t{i}.w AS _w{i}" for i in range(len(patterns))]
+    return (
+        f"SELECT DISTINCT {', '.join(select)} "
+        f"FROM {', '.join(f'quads t{i}' for i in range(len(patterns)))} "
+        f"WHERE {' AND '.join(where) or 'TRUE'}"
     )
-    assert ts.n_triples() == 1
+
+
+@settings(max_examples=25)
+@given(quads=_quads(), patterns=_bgps)
+def test_bgp_equals_duckdb_and_spark_join_chain(spark, quads, patterns):
+    store = TripleStore.from_pandas(spark, quads)
+    sql = _duckdb_bgp(patterns)
+    assert_equivalent(store.match_bgp(patterns), sql, quads=quads)
+    assert_equivalent(spark_bgp(store.df, patterns), sql, quads=quads)
+
