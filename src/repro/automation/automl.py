@@ -24,10 +24,11 @@ _CLASSIFIER_TAILS = (
 )
 
 
-def _classifier_calls(store: TripleStore) -> pd.DataFrame:
-    """(dataset, pipeline, classifier, votes) for every estimator call."""
-    rows = pipeline_calls(store)
-    rows["classifier"] = rows["func"].str.rsplit("/", n=1).str[-1]
+def _classifier_calls(store: TripleStore, dataset: str | None = None) -> pd.DataFrame:
+    """(dataset, pipeline, classifier, votes) for every estimator call,
+    or for those of ``dataset``'s pipelines when it is given."""
+    rows = pipeline_calls(store, dataset)
+    rows["classifier"] = rows["func"].map(O.parts).str[-1]
     rows = rows[rows["classifier"].isin(_CLASSIFIER_TAILS)].copy()
     rows["votes"] = rows["votes"].astype(float)
     return rows[["dataset", "pipe", "stmt", "classifier", "votes"]]
@@ -37,8 +38,7 @@ def recommend_ml_models(
     store: TripleStore, dataset: str, task: str = "classification"
 ) -> pd.DataFrame:
     """Classifiers used on ``dataset``'s pipelines, ranked by votes."""
-    calls = _classifier_calls(store)
-    mine = calls[calls["dataset"] == dataset]
+    mine = _classifier_calls(store, dataset)
     out = (
         mine.groupby("classifier")
         .agg(n_pipelines=("pipe", "nunique"), votes=("votes", "sum"))
@@ -60,8 +60,8 @@ def recommend_hyperparameters(
     parameter names from documentation analysis; a GraphGen4Code-based
     KG has no such triples (§4.4).
     """
-    calls = _classifier_calls(store)
-    mine = calls[(calls["dataset"] == dataset) & (calls["classifier"] == classifier)]
+    calls = _classifier_calls(store, dataset)
+    mine = calls[calls["classifier"] == classifier]
     if mine.empty:
         return pd.DataFrame(columns=["hyperparameter", "value", "weight"])
     params = store.match_bgp([("?stmt", O.HAS_PARAMETER, "?param")])

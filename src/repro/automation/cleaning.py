@@ -31,13 +31,13 @@ CLEANING_OPERATIONS = [
     "IterativeImputer",
 ]
 
-# library-function URI tail -> operation name (for mining the KG)
+# library function -> operation name (for mining the KG)
 _CALL_TO_OP = {
-    "pandas/DataFrame/fillna": "Fillna",
-    "pandas/DataFrame/interpolate": "Interpolate",
-    "sklearn/impute/SimpleImputer": "SimpleImputer",
-    "sklearn/impute/KNNImputer": "KNNImputer",
-    "sklearn/impute/IterativeImputer": "IterativeImputer",
+    "pandas.DataFrame.fillna": "Fillna",
+    "pandas.DataFrame.interpolate": "Interpolate",
+    "sklearn.impute.SimpleImputer": "SimpleImputer",
+    "sklearn.impute.KNNImputer": "KNNImputer",
+    "sklearn.impute.IterativeImputer": "IterativeImputer",
 }
 
 

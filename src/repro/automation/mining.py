@@ -13,8 +13,10 @@ from repro.core import ontology as O
 from repro.core.triples import TripleStore
 
 
-def pipeline_calls(store: TripleStore) -> pd.DataFrame:
-    """(stmt, func, pipe, ds, votes, dataset) for every library call.
+def pipeline_calls(store: TripleStore, dataset: str | None = None) -> pd.DataFrame:
+    """(stmt, func, pipe, ds, votes, dataset) for every library call; with
+    ``dataset`` given, ?ds is bound to its URI and only the calls of its
+    pipelines come back, without the ``ds`` column.
 
     SPARQL-equivalent BGP: ?stmt callsFunction ?func . ?stmt isPartOf
     ?pipe . ?pipe usesDataset ?ds . ?pipe hasVotes ?votes
@@ -23,11 +25,11 @@ def pipeline_calls(store: TripleStore) -> pd.DataFrame:
         [
             ("?stmt", O.CALLS, "?func"),
             ("?stmt", O.IS_PART_OF, "?pipe"),
-            ("?pipe", O.USES_DATASET, "?ds"),
+            ("?pipe", O.USES_DATASET, "?ds" if dataset is None else O.res(dataset)),
             ("?pipe", O.HAS_VOTES, "?votes"),
         ]
     )
-    rows["dataset"] = rows["ds"].str.rsplit("/", n=1).str[-1]
+    rows["dataset"] = rows["ds"].map(O.parts).str[0] if dataset is None else dataset
     return rows
 
 
@@ -35,11 +37,12 @@ def vote_weighted_labels(calls: pd.DataFrame, call_to_op: dict[str, str]) -> pd.
     """dataset -> the operation its pipelines call most, each call
     weighted by its pipeline's votes + 1 (ties: first op by name).
 
-    ``call_to_op`` maps a library-function URI tail to an operation;
-    calls of other functions are ignored.
+    ``call_to_op`` maps a dotted library-function name
+    (``"sklearn.impute.KNNImputer"``) to an operation; calls of other
+    functions are ignored.
     """
-    prefix = O.res("library") + "/"
-    rows = calls.assign(op=calls["func"].str.removeprefix(prefix).map(call_to_op))
+    op_of = {O.library(name): op for name, op in call_to_op.items()}
+    rows = calls.assign(op=calls["func"].map(op_of))
     rows = rows.dropna(subset=["op"])
     rows["votes"] = rows["votes"].astype(float) + 1.0
     weighted = rows.groupby(["dataset", "op"])["votes"].sum().reset_index()

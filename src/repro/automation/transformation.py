@@ -26,10 +26,11 @@ TABLE_TRANSFORMS = ["MinMaxScaler", "RobustScaler", "StandardScaler"]
 COLUMN_TRANSFORMS = ["log", "none", "sqrt"]
 
 _SCALER_CALLS = {
-    "sklearn/preprocessing/StandardScaler": "StandardScaler",
-    "sklearn/preprocessing/MinMaxScaler": "MinMaxScaler",
-    "sklearn/preprocessing/RobustScaler": "RobustScaler",
+    "sklearn.preprocessing.StandardScaler": "StandardScaler",
+    "sklearn.preprocessing.MinMaxScaler": "MinMaxScaler",
+    "sklearn.preprocessing.RobustScaler": "RobustScaler",
 }
+_UNARY_CALLS = {O.library("numpy.log"): "log", O.library("numpy.sqrt"): "sqrt"}
 
 
 def _numeric_cols(pdf: pd.DataFrame) -> list[str]:
@@ -100,15 +101,10 @@ def mine_column_transform_labels(store: TripleStore) -> pd.DataFrame:
             ("?stmt", O.READS_COLUMN, "?col"),
         ]
     )
-    prefix = O.res("library") + "/"
-    func = rows["func"].str.removeprefix(prefix)
-    rows = rows[func.isin(["numpy/log", "numpy/sqrt"])].copy()
-    rows["op"] = func[func.isin(["numpy/log", "numpy/sqrt"])].str.rsplit(
-        "/", n=1
-    ).str[-1]
-    parts = rows["col"].str.removeprefix(O.RESOURCE).str.split("/")
+    rows = rows.assign(op=rows["func"].map(_UNARY_CALLS)).dropna(subset=["op"])
+    parts = rows["col"].map(O.parts)  # res(dataset, table, column)
     rows["dataset"] = parts.str[0]
-    rows["column"] = parts.str[-1]
+    rows["column"] = parts.str[2]
     return (
         rows.groupby(["dataset", "column", "op"])
         .size()

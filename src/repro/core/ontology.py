@@ -8,6 +8,8 @@ and tag every predicate with the "modelled aspect" used by Table 4.
 """
 from __future__ import annotations
 
+from urllib.parse import quote, unquote
+
 ONTOLOGY = "http://kglids.org/ontology/"
 RESOURCE = "http://kglids.org/resource/"
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -19,7 +21,25 @@ def onto(name: str) -> str:
 
 
 def res(*parts: str) -> str:
-    return RESOURCE + "/".join(p.replace(" ", "_") for p in parts)
+    """The resource URI of ``parts`` (e.g. dataset, table, column): each
+    part percent-encoded with no safe characters, so a ``/``, ``%``,
+    ``#`` or space inside a name never reads as structure, then joined
+    by ``/`` under ``RESOURCE``. ``parts`` is its exact inverse, so two
+    URIs are equal only when their parts are."""
+    return RESOURCE + "/".join(quote(p, safe="") for p in parts)
+
+
+def parts(uri: str) -> tuple[str, ...]:
+    """The parts ``res`` encoded in ``uri``: ``parts(res(*ps)) == ps``
+    for one or more parts of any text."""
+    return tuple(unquote(p) for p in uri.removeprefix(RESOURCE).split("/"))
+
+
+def library(name: str) -> str:
+    """The node of a dotted library name (``"sklearn.svm.SVC"``): one
+    part per name segment under ``library``. The dotted name of such a
+    node is ``".".join(parts(uri)[1:])``."""
+    return res("library", *name.split("."))
 
 
 # ---- Classes (13 in the paper; the ones our algorithms instantiate) ----

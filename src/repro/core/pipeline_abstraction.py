@@ -124,7 +124,7 @@ class _Analyzer(ast.NodeVisitor):
             arg0 = call.args[0]
             if isinstance(arg0, ast.Constant) and isinstance(arg0.value, str):
                 path = arg0.value
-                parts = path.replace(".csv", "").split("/")
+                parts = path.removesuffix(".csv").split("/")
                 table = parts[-1]
                 dataset = parts[-2] if len(parts) > 1 else table
                 stmt.dataset_read = (dataset, table)
@@ -256,18 +256,13 @@ def analyze_script(script: str) -> list[AbstractedStatement]:
     return analyzer.statements
 
 
-def pipeline_graph_uri(pipeline_id: str) -> str:
-    return O.res("pipelineGraph", pipeline_id)
-
-
 def statements_to_triples(
     pipeline_id: str,
     statements: list[AbstractedStatement],
     metadata: dict | None = None,
 ) -> pd.DataFrame:
     """Emit the named graph of one pipeline (Algorithm 1 line 18)."""
-    g = pipeline_graph_uri(pipeline_id)
-    tb = TripleBuilder(graph=g)
+    tb = TripleBuilder(graph=O.res("pipelineGraph", pipeline_id))
     pipe = O.res("pipeline", pipeline_id)
     tb.add(pipe, O.RDF_TYPE, O.PIPELINE)
     md = metadata or {}
@@ -298,8 +293,8 @@ def statements_to_triples(
         for var in sorted(st.writes):
             last_writer[var] = uri
         if st.call:
-            tb.add(uri, O.CALLS, O.res("library", *st.call.split(".")))
-            tb.add(uri, O.CALLS_LIBRARY, O.res("library", st.library))
+            tb.add(uri, O.CALLS, O.library(st.call))
+            tb.add(uri, O.CALLS_LIBRARY, O.library(st.library))
             for name, value in st.parameters:
                 tb.add(uri, O.HAS_PARAMETER, f"{name}={value}")
             for name, value in st.default_parameters:
@@ -324,16 +319,15 @@ def build_library_graph(used: set[str]) -> pd.DataFrame:
             wanted_prefixes.add(".".join(parts[:i]))
     for parent, child in LD.hierarchy_edges():
         if child in wanted_prefixes:
-            tb.add(O.res("library", *parent.split(".")),
-                   O.HAS_SUBMODULE, O.res("library", *child.split(".")))
+            tb.add(O.library(parent), O.HAS_SUBMODULE, O.library(child))
     for call in sorted(used):
         doc = LD.lookup(call)
-        uri = O.res("library", *call.split("."))
+        uri = O.library(call)
         tb.add(uri, O.RDF_TYPE, O.FUNCTION)
         if doc is not None and call in LD.LIBRARY_DOCS:
             tb.add(uri, O.RETURNS_TYPE, doc["returns"])
     for root in sorted(roots):
-        tb.add(O.res("library", root), O.RDF_TYPE, O.LIBRARY)
+        tb.add(O.library(root), O.RDF_TYPE, O.LIBRARY)
     return tb.to_pandas()
 
 
@@ -375,14 +369,13 @@ def abstract_corpus(spark: SparkSession, scripts: DataFrame) -> TripleStore:
         _abstract_partition, TRIPLE_SCHEMA
     ).persist()
     # library graph from the distinct calls the abstraction just found
-    prefix = O.res("library") + "/"
     call_rows = (
         pipeline_triples.filter(pipeline_triples.p == O.CALLS)
         .select("o")
         .distinct()
         .collect()
     )
-    used = {r["o"][len(prefix):].replace("/", ".") for r in call_rows}
+    used = {".".join(O.parts(r["o"])[1:]) for r in call_rows}
     lib_pdf = build_library_graph(used)
     df = pipeline_triples
     if len(lib_pdf):

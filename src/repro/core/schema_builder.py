@@ -48,16 +48,12 @@ _METADATA_COLUMNS = [
 _PROFILE_COLUMNS = _METADATA_COLUMNS + ["embedding", "label_embedding"]
 
 
-def _column_uri(dataset: str, table: str, column: str) -> str:
-    return O.res(dataset, table, column)
-
-
 def _metadata_triples(pdf: pd.DataFrame) -> pd.DataFrame:
     """Alg. 3 lines 2-5 over collected profile rows: column triples once
     per row, table and dataset triples once per distinct table/dataset."""
     tb = TripleBuilder(graph=O.res("datasetGraph"))
     for r in pdf.itertuples(index=False):
-        col = _column_uri(r.dataset, r.table, r.column)
+        col = O.res(r.dataset, r.table, r.column)
         tb.add(col, O.RDF_TYPE, O.COLUMN)
         tb.add(col, O.RDFS_LABEL, r.column)
         tb.add(col, O.IS_PART_OF, O.res(r.dataset, r.table))
@@ -96,10 +92,7 @@ def _similarity_side(pdf: pd.DataFrame) -> dict[str, dict]:
     for fgt, grp in pdf.groupby("fgt"):
         side[fgt] = {
             "ids": np.array(
-                [
-                    _column_uri(r.dataset, r.table, r.column)
-                    for r in grp.itertuples(index=False)
-                ]
+                [O.res(r.dataset, r.table, r.column) for r in grp.itertuples(index=False)]
             ),
             "tables": grp["table"].to_numpy(),
             "content": _normalize(np.stack(grp["embedding"].to_numpy())),

@@ -28,14 +28,6 @@ from repro.core.triples import TripleStore
 from repro.lakegen.lake import Lake
 
 
-def _table_of(column_uri: str) -> str:
-    return column_uri.rsplit("/", 1)[0].rsplit("/", 1)[-1]
-
-
-def _column_of(column_uri: str) -> str:
-    return column_uri.rsplit("/", 1)[-1]
-
-
 @dataclass
 class UnionSearchIndex:
     """Materialized similarity-edge index (the GraphDB-index analogue).
@@ -114,12 +106,15 @@ def index_from_graph(graph: TripleStore, lake: Lake) -> UnionSearchIndex:
             columns=["table_a", "col_a", "table_b", "col_b", "pred", "w"]
         )
     else:
+        # column URIs are res(dataset, table, column); each is decoded once
+        parts_of = {u: O.parts(u) for u in pd.unique(pd.concat([sim["s"], sim["o"]]))}
+        s, o = sim["s"].map(parts_of), sim["o"].map(parts_of)
         fwd = pd.DataFrame(
             {
-                "table_a": sim["s"].map(_table_of),
-                "col_a": sim["s"].map(_column_of),
-                "table_b": sim["o"].map(_table_of),
-                "col_b": sim["o"].map(_column_of),
+                "table_a": s.str[1],
+                "col_a": s.str[2],
+                "table_b": o.str[1],
+                "col_b": o.str[2],
                 "pred": sim["p"],
                 "w": sim["w"],
             }

@@ -28,7 +28,7 @@ def search_tables_based_on_specific_columns(
     cols = store.match_bgp(
         [("?col", O.RDF_TYPE, O.COLUMN), ("?col", O.RDFS_LABEL, "?label")]
     )
-    parts = cols["col"].str.removeprefix(O.RESOURCE).str.split("/")
+    parts = cols["col"].map(O.parts)
     frame = pd.DataFrame(
         {
             "dataset": parts.str[0],
@@ -101,7 +101,7 @@ def get_top_used_libraries(
     if task is not None:
         patterns.append(("?pipe", O.HAS_TASK, task))
     calls = store.match_bgp(patterns)
-    calls["library"] = calls["lib"].str.rsplit("/", n=1).str[-1]
+    calls["library"] = calls["lib"].map(O.parts).str[-1]
     return (
         calls.groupby("library")["pipe"]
         .nunique()
@@ -119,15 +119,14 @@ def get_pipelines_calling_libraries(
     metadata (votes, author, score)."""
     patterns = []
     for i, fn in enumerate(functions):
-        uri = O.res("library", *fn.split("."))
-        patterns.append((f"?stmt{i}", O.CALLS, uri))
+        patterns.append((f"?stmt{i}", O.CALLS, O.library(fn)))
         patterns.append((f"?stmt{i}", O.IS_PART_OF, "?pipe"))
     patterns.append(("?pipe", O.HAS_VOTES, "?votes"))
     patterns.append(("?pipe", O.HAS_AUTHOR, "?author"))
     rows = store.match_bgp(patterns)
     if rows.empty:
         return pd.DataFrame(columns=["pipeline", "author", "votes"])
-    rows["pipeline"] = rows["pipe"].str.rsplit("/", n=1).str[-1]
+    rows["pipeline"] = rows["pipe"].map(O.parts).str[-1]
     out = (
         rows[["pipeline", "author", "votes"]]
         .drop_duplicates("pipeline")

@@ -30,6 +30,11 @@ _BGP = [
 ]
 
 
+def _uri_tails(call_to_op):
+    """The call map as the library-URI tails the reference matches."""
+    return {k.replace(".", "/"): v for k, v in call_to_op.items()}
+
+
 def _ref_vote_weighted(store, call_to_op):
     rows = spark_bgp(store.df, _BGP).toPandas()
     prefix = O.res("library") + "/"
@@ -62,13 +67,13 @@ def store(spark):
 def test_cleaning_labels_unchanged(store):
     got = mine_cleaning_labels(store)
     assert len(got) > 0
-    pd.testing.assert_frame_equal(got, _ref_vote_weighted(store, _CALL_TO_OP))
+    pd.testing.assert_frame_equal(got, _ref_vote_weighted(store, _uri_tails(_CALL_TO_OP)))
 
 
 def test_scaler_labels_unchanged(store):
     got = mine_scaler_labels(store)
     assert len(got) > 0
-    pd.testing.assert_frame_equal(got, _ref_vote_weighted(store, _SCALER_CALLS))
+    pd.testing.assert_frame_equal(got, _ref_vote_weighted(store, _uri_tails(_SCALER_CALLS)))
 
 
 def test_classifier_calls_unchanged(store):

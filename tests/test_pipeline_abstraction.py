@@ -48,6 +48,12 @@ def test_read_csv_detected_as_dataset_read(stmts):
     assert s.dataset_read == ("titanic", "train")
 
 
+def test_read_csv_drops_only_the_file_suffix():
+    """A ``.csv`` inside a folder name is part of the dataset name."""
+    stmts = analyze_script("import pandas as pd\ndf = pd.read_csv('old.csv_backup/t.csv')\n")
+    assert _by_call(stmts, "pandas.read_csv").dataset_read == ("old.csv_backup", "t")
+
+
 def test_return_type_from_documentation(stmts):
     assert _by_call(stmts, "pandas.read_csv").return_type == "pandas.DataFrame"
 
