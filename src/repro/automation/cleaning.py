@@ -20,7 +20,7 @@ import pandas as pd
 from repro.core.triples import TripleStore
 
 from .embeddings import table_embedding_1800
-from .gnn import GNNConfig, OneLayerGNN
+from .gnn import RECOMMENDER_CONFIG, GNNConfig, LabelModel
 from .mining import pipeline_calls, vote_weighted_labels
 
 CLEANING_OPERATIONS = [
@@ -175,24 +175,11 @@ class CleaningRecommender:
     """GNN recommender over 1800-dim missing-column table embeddings."""
 
     def __init__(self, config: GNNConfig | None = None):
-        self.config = config or GNNConfig(epochs=900, lr=0.02)
-        self.model: OneLayerGNN | None = None
-        self._mu: np.ndarray | None = None
-        self._sd: np.ndarray | None = None
-
-    def _standardize(self, embeddings: np.ndarray) -> np.ndarray:
-        assert self._mu is not None and self._sd is not None
-        return (embeddings - self._mu) / self._sd
+        self.config = config or RECOMMENDER_CONFIG
+        self.model: LabelModel | None = None
 
     def fit(self, embeddings: np.ndarray, ops: list[str]) -> "CleaningRecommender":
-        y = np.array([CLEANING_OPERATIONS.index(o) for o in ops])
-        self._mu = embeddings.mean(axis=0)
-        self._sd = embeddings.std(axis=0)
-        self._sd[self._sd == 0] = 1.0
-        self.model = OneLayerGNN(
-            n_classes=len(CLEANING_OPERATIONS), d_in=embeddings.shape[1],
-            config=self.config,
-        ).fit(self._standardize(embeddings), y)
+        self.model = LabelModel(CLEANING_OPERATIONS, self.config).fit(embeddings, ops)
         return self
 
     def fit_from_kg(
@@ -211,5 +198,4 @@ class CleaningRecommender:
         """The §4.1 API: predict the near-optimal operation for ``pdf``."""
         assert self.model is not None, "fit the recommender first"
         emb = table_embedding_1800(pdf, only_missing=True)
-        pred = int(self.model.predict(self._standardize(emb.reshape(1, -1)))[0])
-        return CLEANING_OPERATIONS[pred]
+        return self.model.predict(emb.reshape(1, -1))[0]

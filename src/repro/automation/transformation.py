@@ -19,7 +19,7 @@ from repro.core import ontology as O
 from repro.core.triples import TripleStore
 
 from .embeddings import column_embeddings, table_embedding_1800
-from .gnn import GNNConfig, OneLayerGNN
+from .gnn import RECOMMENDER_CONFIG, GNNConfig, LabelModel
 from .mining import pipeline_calls, vote_weighted_labels
 
 TABLE_TRANSFORMS = ["MinMaxScaler", "RobustScaler", "StandardScaler"]
@@ -35,6 +35,15 @@ _UNARY_CALLS = {O.library("numpy.log"): "log", O.library("numpy.sqrt"): "sqrt"}
 
 def _numeric_cols(pdf: pd.DataFrame) -> list[str]:
     return [c for c in pdf.columns if pd.api.types.is_numeric_dtype(pdf[c])]
+
+
+def _numeric_embeddings(col_embs: dict) -> dict[str, np.ndarray]:
+    """column -> CoLR embedding of the int and float columns: the
+    column model's inputs."""
+    return {
+        col: emb for col, (fgt, emb) in col_embs.items()
+        if fgt.value in ("int", "float")
+    }
 
 
 # --------------------------------------------------------------------------
@@ -122,37 +131,20 @@ class TransformationRecommender:
     """Table-level scaler model + column-level unary model (§4.3)."""
 
     def __init__(self, config: GNNConfig | None = None):
-        self.config = config or GNNConfig(epochs=900, lr=0.02)
-        self.table_model: OneLayerGNN | None = None
-        self.column_model: OneLayerGNN | None = None
-        self._tab_stats: tuple[np.ndarray, np.ndarray] | None = None
-        self._col_stats: tuple[np.ndarray, np.ndarray] | None = None
-
-    @staticmethod
-    def _fit_stats(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mu = embeddings.mean(axis=0)
-        sd = embeddings.std(axis=0)
-        sd[sd == 0] = 1.0
-        return mu, sd
+        self.config = config or RECOMMENDER_CONFIG
+        self.table_model: LabelModel | None = None
+        self.column_model: LabelModel | None = None
 
     def fit_table(self, embeddings: np.ndarray, scalers: list[str]):
-        y = np.array([TABLE_TRANSFORMS.index(s) for s in scalers])
-        self._tab_stats = self._fit_stats(embeddings)
-        mu, sd = self._tab_stats
-        self.table_model = OneLayerGNN(
-            n_classes=len(TABLE_TRANSFORMS), d_in=embeddings.shape[1],
-            config=self.config,
-        ).fit((embeddings - mu) / sd, y)
+        self.table_model = LabelModel(TABLE_TRANSFORMS, self.config).fit(
+            embeddings, scalers
+        )
         return self
 
     def fit_columns(self, embeddings: np.ndarray, ops: list[str]):
-        y = np.array([COLUMN_TRANSFORMS.index(o) for o in ops])
-        self._col_stats = self._fit_stats(embeddings)
-        mu, sd = self._col_stats
-        self.column_model = OneLayerGNN(
-            n_classes=len(COLUMN_TRANSFORMS), d_in=embeddings.shape[1],
-            config=self.config,
-        ).fit((embeddings - mu) / sd, y)
+        self.column_model = LabelModel(COLUMN_TRANSFORMS, self.config).fit(
+            embeddings, ops
+        )
         return self
 
     def fit_from_kg(
@@ -177,9 +169,7 @@ class TransformationRecommender:
             if ds not in tables:
                 continue
             transformed = dict(zip(grp["column"], grp["op"]))
-            for col, (fgt, emb) in embs_of[ds].items():
-                if fgt.value not in ("int", "float"):
-                    continue
+            for col, emb in _numeric_embeddings(embs_of[ds]).items():
                 col_embs.append(emb)
                 col_ops.append(transformed.get(col, "none"))
         if col_embs:
@@ -193,20 +183,9 @@ class TransformationRecommender:
         assert self.table_model is not None, "fit the recommender first"
         col_embs = column_embeddings(pdf)
         emb = table_embedding_1800(pdf, embeddings=col_embs)
-        mu, sd = self._tab_stats
-        scaler = TABLE_TRANSFORMS[
-            int(self.table_model.predict(((emb - mu) / sd).reshape(1, -1))[0])
-        ]
-        col_ops: dict[str, str] = {}
-        if self.column_model is not None:
-            cmu, csd = self._col_stats
-            for col, (fgt, cemb) in col_embs.items():
-                if fgt.value not in ("int", "float"):
-                    continue
-                pred = int(
-                    self.column_model.predict(
-                        ((cemb - cmu) / csd).reshape(1, -1)
-                    )[0]
-                )
-                col_ops[col] = COLUMN_TRANSFORMS[pred]
-        return scaler, col_ops
+        scaler = self.table_model.predict(emb.reshape(1, -1))[0]
+        numeric = _numeric_embeddings(col_embs)
+        if self.column_model is None or not numeric:
+            return scaler, {}
+        ops = self.column_model.predict(np.stack(list(numeric.values())))
+        return scaler, dict(zip(numeric, ops))

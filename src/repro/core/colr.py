@@ -25,6 +25,7 @@ import numpy as np
 import pandas as pd
 
 from .types import EMBEDDING_DIM, FineGrainedType
+from .word_embeddings import trigram_vector
 
 _HIDDEN = 128
 _NGRAM_DIM = 64
@@ -91,14 +92,7 @@ def _string_features(values: np.ndarray) -> np.ndarray:
     rows = np.zeros((len(values), _NGRAM_DIM + 3))
     for i, raw in enumerate(values):
         s = str(raw).lower()
-        padded = f"#{s[:64]}#"
-        for j in range(max(1, len(padded) - 2)):
-            g = padded[j : j + 3]
-            h = int.from_bytes(hashlib.blake2b(g.encode(), digest_size=8).digest(), "big")
-            rows[i, h % _NGRAM_DIM] += 1.0 if (h >> 16) % 2 else -1.0
-        norm = np.linalg.norm(rows[i, :_NGRAM_DIM])
-        if norm > 0:
-            rows[i, :_NGRAM_DIM] /= norm
+        rows[i, :_NGRAM_DIM] = trigram_vector(s[:64], _NGRAM_DIM)
         rows[i, _NGRAM_DIM] = min(len(s), 60) / 60.0
         rows[i, _NGRAM_DIM + 1] = min(len(s.split()), 20) / 20.0
         rows[i, _NGRAM_DIM + 2] = sum(c.isdigit() for c in s) / max(1, len(s))

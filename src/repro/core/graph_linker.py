@@ -16,32 +16,25 @@ from . import ontology as O
 from .triples import TripleStore
 
 
-def _existing(dataset_graph: DataFrame, node_class: str) -> DataFrame:
-    return (
-        dataset_graph.filter(
-            (F.col("p") == O.RDF_TYPE) & (F.col("o") == node_class)
-        )
-        .select(F.col("s").alias("verified"))
-        .distinct()
-    )
-
-
 def _predicted_reads(
     pipeline_store: TripleStore, dataset_store: TripleStore, how: str
 ) -> DataFrame:
     """``readsTable``/``readsColumn`` triples whose object does
     (``left_semi``) or does not (``left_anti``) exist in the dataset
-    graph with the right class."""
-    pdf = pipeline_store.df
-    parts = []
-    for pred, node_class in (
-        (O.READS_TABLE, O.TABLE),
-        (O.READS_COLUMN, O.COLUMN),
-    ):
-        predicted = pdf.filter(F.col("p") == pred)
-        existing = _existing(dataset_store.df, node_class)
-        parts.append(predicted.join(existing, predicted.o == existing.verified, how))
-    return parts[0].unionByName(parts[1])
+    graph with the right class: one join on (predicate, node), where a
+    Table node verifies ``readsTable`` and a Column node ``readsColumn``."""
+    typed = dataset_store.df.filter(
+        (F.col("p") == O.RDF_TYPE) & F.col("o").isin(O.TABLE, O.COLUMN)
+    )
+    verified = typed.select(
+        F.when(F.col("o") == O.TABLE, O.READS_TABLE)
+        .otherwise(O.READS_COLUMN).alias("p"),
+        F.col("s").alias("o"),
+    )
+    predicted = pipeline_store.df.filter(
+        F.col("p").isin(O.READS_TABLE, O.READS_COLUMN)
+    )
+    return predicted.join(verified, on=["p", "o"], how=how)
 
 
 def link(pipeline_store: TripleStore, dataset_store: TripleStore) -> TripleStore:

@@ -110,14 +110,15 @@ def tokenize_label(label: str) -> list[str]:
     return _TOKEN_RE.findall(s)
 
 
-def _ngram_vec(token: str) -> np.ndarray:
-    """Hashed character-trigram vector (the distributional half)."""
-    padded = f"#{token}#"
-    vec = np.zeros(WORD_DIM // 2)
-    grams = [padded[i : i + 3] for i in range(max(1, len(padded) - 2))]
-    for g in grams:
-        h = int.from_bytes(hashlib.blake2b(g.encode(), digest_size=8).digest(), "big")
-        vec[h % (WORD_DIM // 2)] += 1.0 if (h >> 16) % 2 else -1.0
+def trigram_vector(text: str, dim: int) -> np.ndarray:
+    """Hashed character-trigram vector of ``#text#``, unit norm: the
+    distributional half of a token embedding, and CoLR's string feature."""
+    padded = f"#{text}#"
+    vec = np.zeros(dim)
+    for i in range(max(1, len(padded) - 2)):
+        digest = hashlib.blake2b(padded[i : i + 3].encode(), digest_size=8).digest()
+        h = int.from_bytes(digest, "big")
+        vec[h % dim] += 1.0 if (h >> 16) % 2 else -1.0
     n = np.linalg.norm(vec)
     return vec / n if n > 0 else vec
 
@@ -128,7 +129,7 @@ def token_embedding(token: str) -> np.ndarray:
     sem = np.zeros(WORD_DIM // 2)
     if token in _CONCEPT_OF:
         sem = _CONCEPT_VECS[_CONCEPT_OF[token]]
-    vec = np.concatenate([sem * 2.5, _ngram_vec(token)])
+    vec = np.concatenate([sem * 2.5, trigram_vector(token, WORD_DIM // 2)])
     n = np.linalg.norm(vec)
     return vec / n if n > 0 else vec
 

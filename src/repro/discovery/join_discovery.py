@@ -49,14 +49,6 @@ def find_join_paths(
     return paths
 
 
-def shortest_join_path(
-    index: UnionSearchIndex, source: str, target: str, max_hops: int = 4
-) -> list[str] | None:
-    """The shortest join path between two tables, if one exists."""
-    paths = find_join_paths(index, source, target, hops=max_hops)
-    return min(paths, key=len) if paths else None
-
-
 def join_paths_frame(paths: list[list[str]]) -> pd.DataFrame:
     """Paths as the Pandas DataFrame the KGLiDS API returns."""
     return pd.DataFrame(

@@ -65,13 +65,13 @@ def test_join_paths_direct_and_two_hop(lake, index):
 def test_shortest_join_path(lake, index):
     q = lake.query_tables[0]
     member = sorted(lake.unionable_with(q))[0]
-    shortest = join_discovery.shortest_join_path(index, q, member)
-    assert shortest is not None
-    assert len(shortest) == 2  # directly joinable group members
+    paths = join_discovery.find_join_paths(index, q, member, hops=4)
+    assert paths
+    assert len(min(paths, key=len)) == 2  # directly joinable group members
 
 
 def test_no_join_path_returns_none(index):
-    assert join_discovery.shortest_join_path(index, "ghost1", "ghost2") is None
+    assert join_discovery.find_join_paths(index, "ghost1", "ghost2", hops=4) == []
 
 
 def test_starmie_like_accuracy(lake):

@@ -32,33 +32,6 @@ def test_predict_proba_sums_to_one(separable):
     assert np.allclose(p.sum(axis=1), 1.0)
 
 
-@pytest.fixture(scope="module")
-def with_neighbours():
-    """Target nodes with no signal of their own, each seeing one
-    informative context node."""
-    g = np.random.default_rng(1)
-    n = 60
-    X = np.zeros((2 * n, 6))
-    X[n:] = g.normal(0, 0.1, (n, 6))  # target nodes: no signal of their own
-    X[:n] = np.vstack(
-        [g.normal(-3, 0.3, (n // 2, 6)), g.normal(3, 0.3, (n // 2, 6))]
-    )
-    adjacency = {n + i: [i] for i in range(n)}  # target i sees context node i
-    y = np.array([0] * (n // 2) + [1] * (n // 2) + [0] * (n // 2) + [1] * (n // 2))
-    return X, y, adjacency, np.arange(n, 2 * n)
-
-
-def test_neighbor_aggregation_used(with_neighbours):
-    """Nodes whose own features are uninformative can still be classified
-    through their neighborhoods — the message-passing path works."""
-    X, y, adjacency, train_idx = with_neighbours
-    gnn = OneLayerGNN(2, 6, GNNConfig(epochs=400, lr=0.02)).fit(
-        X, y, adjacency, train_idx
-    )
-    acc = (gnn.predict(X, adjacency, train_idx) == y[train_idx]).mean()
-    assert acc > 0.9
-
-
 def test_deterministic_with_seed(separable):
     X, y = separable
     a = OneLayerGNN(3, 10, GNNConfig(epochs=50, seed=7)).fit(X, y).predict(X)
@@ -69,41 +42,40 @@ def test_deterministic_with_seed(separable):
 def test_single_layer_parameter_shapes():
     gnn = OneLayerGNN(5, 1800)
     assert gnn.W_self.shape == (1800, 64)
-    assert gnn.W_nbr.shape == (1800, 64)
     assert gnn.U.shape == (64, 5)
+
+
+def test_initial_draws_are_pinned():
+    """``W_self``, a discarded ``(d_in, hidden)`` block, then ``U``: the
+    discarded draw keeps ``U`` and every trained parameter as before."""
+    d, h, k = 30, 8, 4
+    gnn = OneLayerGNN(k, d, GNNConfig(hidden=h, seed=3))
+    g = np.random.default_rng(3)
+    assert np.array_equal(gnn.W_self, g.standard_normal((d, h)) / np.sqrt(d))
+    g.standard_normal((d, h))
+    assert np.array_equal(gnn.U, g.standard_normal((h, k)) / np.sqrt(h))
 
 
 # --------------------------------------------------------------------------
 # exactness against the straightforward implementation
 # --------------------------------------------------------------------------
-def _reference_agg(X, adjacency, idx):
-    out = np.zeros((len(idx), X.shape[1]))
-    for i, v in enumerate(idx):
-        nbrs = adjacency.get(int(v), [])
-        if nbrs:
-            out[i] = X[nbrs].mean(axis=0)
-    return out
-
-
-def _reference_forward(model, X, adjacency, idx):
-    msg = _reference_agg(X, adjacency, idx)
-    h = np.maximum(0.0, X[idx] @ model.W_self + msg @ model.W_nbr + model.b)
+def _reference_forward(model, X, idx):
+    h = np.maximum(0.0, X[idx] @ model.W_self + model.b)
     logits = h @ model.U + model.c
     logits -= logits.max(axis=1, keepdims=True)
     p = np.exp(logits)
     p /= p.sum(axis=1, keepdims=True)
-    return h, msg, p
+    return h, p
 
 
-def _reference_fit(model, X, y, adjacency=None, train_idx=None):
-    """The textbook loop: a message for every node, every parameter
-    stepped by Adam with freshly allocated moments."""
-    adjacency = adjacency or {}
+def _reference_fit(model, X, y):
+    """The textbook loop: every parameter stepped by Adam with freshly
+    allocated moments."""
     X = np.asarray(X, dtype="float64")
     y = np.asarray(y)
-    idx_all = np.asarray(train_idx) if train_idx is not None else np.arange(len(y))
+    idx_all = np.arange(len(y))
     rng = np.random.default_rng(model.cfg.seed)
-    params = [model.W_self, model.W_nbr, model.b, model.U, model.c]
+    params = [model.W_self, model.b, model.U, model.c]
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     b1, b2, eps = 0.9, 0.999, 1e-8
@@ -111,7 +83,7 @@ def _reference_fit(model, X, y, adjacency=None, train_idx=None):
     for _ in range(model.cfg.epochs):
         batch = rng.choice(idx_all, size=min(model.cfg.batch, len(idx_all)),
                            replace=False)
-        h, msg, p = _reference_forward(model, X, adjacency, batch)
+        h, p = _reference_forward(model, X, batch)
         onehot = np.zeros((len(batch), model.n_classes))
         onehot[np.arange(len(batch)), y[batch]] = 1.0
         dlogits = (p - onehot) / len(batch)
@@ -120,9 +92,8 @@ def _reference_fit(model, X, y, adjacency=None, train_idx=None):
         dh = dlogits @ model.U.T
         dh[h <= 0] = 0.0
         dW_self = X[batch].T @ dh + model.cfg.l2 * model.W_self
-        dW_nbr = msg.T @ dh + model.cfg.l2 * model.W_nbr
         db = dh.sum(axis=0)
-        grads = [dW_self, dW_nbr, db, dU, dc]
+        grads = [dW_self, db, dU, dc]
         t += 1
         for i, (param, grad) in enumerate(zip(params, grads)):
             m[i] = b1 * m[i] + (1 - b1) * grad
@@ -133,10 +104,9 @@ def _reference_fit(model, X, y, adjacency=None, train_idx=None):
     return model
 
 
-def _reference_predict_proba(model, X, adjacency=None, idx=None):
+def _reference_predict_proba(model, X):
     X = np.asarray(X, dtype="float64")
-    idx = np.asarray(idx) if idx is not None else np.arange(len(X))
-    return _reference_forward(model, X, adjacency or {}, idx)[2]
+    return _reference_forward(model, X, np.arange(len(X)))[1]
 
 
 _PARAMS = ("W_self", "b", "U", "c")
@@ -154,27 +124,6 @@ def test_fit_without_adjacency_is_exact(n, d, k):
         assert np.array_equal(getattr(fast, name), getattr(ref, name)), name
     Q = g.standard_normal((7, d))
     assert np.array_equal(fast.predict_proba(Q), _reference_predict_proba(ref, Q))
-
-
-def test_fit_with_adjacency_is_exact(with_neighbours):
-    X, y, adjacency, train_idx = with_neighbours
-    cfg = GNNConfig(epochs=100, lr=0.02)
-    fast = OneLayerGNN(2, 6, cfg).fit(X, y, adjacency, train_idx)
-    ref = _reference_fit(OneLayerGNN(2, 6, cfg), X, y, adjacency, train_idx)
-    for name in _PARAMS + ("W_nbr",):
-        assert np.array_equal(getattr(fast, name), getattr(ref, name)), name
-    assert np.array_equal(
-        fast.predict_proba(X, adjacency, train_idx),
-        _reference_predict_proba(ref, X, adjacency, train_idx),
-    )
-
-
-def test_without_adjacency_w_nbr_is_left_alone(separable):
-    X, y = separable
-    gnn = OneLayerGNN(3, 10, GNNConfig(epochs=20))
-    before = gnn.W_nbr.copy()
-    gnn.fit(X, y)
-    assert np.array_equal(gnn.W_nbr, before)
 
 
 # --------------------------------------------------------------------------
@@ -246,26 +195,26 @@ def test_cleaning_recommender_matches_reference(monkeypatch, frames):
         monkeypatch, lambda: cl.CleaningRecommender(_SMALL).fit(E, ops)
     )
     for name in _PARAMS:
-        assert np.array_equal(getattr(fast.model, name), getattr(ref.model, name))
+        assert np.array_equal(getattr(fast.model.gnn, name), getattr(ref.model.gnn, name))
     for pdf in frames:
-        x = ref._standardize(_reference_table_embedding(pdf, True).reshape(1, -1))
-        p = _reference_predict_proba(ref.model, x)
-        assert np.array_equal(fast.model.predict_proba(x), p)
+        x = (_reference_table_embedding(pdf, True).reshape(1, -1) - ref.model.mu) / ref.model.sd
+        p = _reference_predict_proba(ref.model.gnn, x)
+        assert np.array_equal(fast.model.gnn.predict_proba(x), p)
         expected = cl.CLEANING_OPERATIONS[int(np.argmax(p, axis=1)[0])]
         assert fast.recommend_cleaning_operations(pdf) == expected
 
 
 def _reference_recommend_transformations(rec, pdf):
-    mu, sd = rec._tab_stats
+    mu, sd = rec.table_model.mu, rec.table_model.sd
     x = ((_reference_table_embedding(pdf) - mu) / sd).reshape(1, -1)
     scaler = tr.TABLE_TRANSFORMS[
-        int(np.argmax(_reference_predict_proba(rec.table_model, x), axis=1)[0])
+        int(np.argmax(_reference_predict_proba(rec.table_model.gnn, x), axis=1)[0])
     ]
-    cmu, csd = rec._col_stats
+    cmu, csd = rec.column_model.mu, rec.column_model.sd
     col_ops = {}
     for col, (fgt, cemb) in column_embeddings(pdf).items():
         if fgt.value in ("int", "float"):
-            p = _reference_predict_proba(rec.column_model, ((cemb - cmu) / csd).reshape(1, -1))
+            p = _reference_predict_proba(rec.column_model.gnn, ((cemb - cmu) / csd).reshape(1, -1))
             col_ops[col] = tr.COLUMN_TRANSFORMS[int(np.argmax(p, axis=1)[0])]
     return scaler, col_ops
 
@@ -284,7 +233,7 @@ def test_transformation_recommender_matches_reference(monkeypatch, frames):
     for model in ("table_model", "column_model"):
         for name in _PARAMS:
             assert np.array_equal(
-                getattr(getattr(fast, model), name), getattr(getattr(ref, model), name)
+                getattr(getattr(fast, model).gnn, name), getattr(getattr(ref, model).gnn, name)
             )
     for pdf in frames:
         assert fast.recommend_transformations(pdf) == (
@@ -322,5 +271,5 @@ def test_transformation_fit_from_kg_embeds_as_before(monkeypatch, frames):
     for model in ("table_model", "column_model"):
         for name in _PARAMS:
             assert np.array_equal(
-                getattr(getattr(fast, model), name), getattr(getattr(ref, model), name)
+                getattr(getattr(fast, model).gnn, name), getattr(getattr(ref, model).gnn, name)
             )
