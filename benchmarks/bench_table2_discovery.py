@@ -36,15 +36,15 @@ def test_table2_preprocessing_and_query_time(spark, benchmark):
             paper = PAPER_TABLE2[name]
             systems = {}
             kg = us.build_index(spark, lake)
-            res, q_s = us.evaluate(kg, lake)
+            res, q_s = metrics.evaluate(kg, lake)
             systems["KGLiDS"] = (kg.preprocessing_s, q_s,
                                  *metrics.average_pr_at_k(res, truths, lake.k))
             st = starmie_like.build_index(lake)
-            res, q_s = starmie_like.evaluate(st, lake)
+            res, q_s = metrics.evaluate(st, lake)
             systems["Starmie"] = (st.preprocessing_s, q_s,
                                   *metrics.average_pr_at_k(res, truths, lake.k))
             sa = santos_like.build_index(lake)
-            res, q_s = santos_like.evaluate(sa, lake)
+            res, q_s = metrics.evaluate(sa, lake)
             systems["SANTOS"] = (sa.preprocessing_s, q_s,
                                  *metrics.average_pr_at_k(res, truths, lake.k))
             for i, (sys_name, (pre, q, p, r)) in enumerate(systems.items()):

@@ -6,7 +6,8 @@ def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.
 
     Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. spark.driver.memory is read at JVM launch, not
+    limit > half of /proc/meminfo MemTotal, clamped to 2-8 GiB (2g if
+    unreadable). spark.driver.memory is read at JVM launch, not
     from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark is
     imported anywhere — this runs at conftest import, which pytest loads
     before any test module.
@@ -33,8 +34,15 @@ def _driver_mem() -> str:
             return f"{max(1, int(gib * 0.75))}g"
         except (OSError, ValueError):
             continue
+    # half of the host's memory, 2-8 GiB, as the tier-1 command derives it
+    try:
+        with open("/proc/meminfo") as f:
+            kib = next(int(ln.split()[1]) for ln in f if ln.startswith("MemTotal:"))
+        gib = min(8, max(2, kib // (2 << 20)))
+    except (OSError, StopIteration, ValueError):
+        gib = 2
     os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
+    return f"{gib}g"
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())

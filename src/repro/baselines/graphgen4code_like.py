@@ -10,17 +10,20 @@ WALA-style whole-program dataflow fixpoint (quadratic in statements,
 iterated), which is why its analysis is an order of magnitude slower.
 It models no RDF node types, no dataset reads and no library hierarchy
 (Table 4's '-' rows), and does not consult library documentation.
+Its corpus runs on KGLiDS's per-script Spark worker
+(``pipeline_abstraction.map_scripts``), so Tables 3 and 4 differ only
+in the per-script analysis.
 """
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterator
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import ontology as O
-from repro.core.triples import TRIPLE_SCHEMA, TripleBuilder, TripleStore
+from repro.core.pipeline_abstraction import map_scripts
+from repro.core.triples import TripleBuilder, TripleStore
 
 # WALA-like iterative dataflow rounds (call-string depth x iterations).
 # Real GraphGen4Code runs WALA's exhaustive interprocedural analysis over
@@ -163,19 +166,11 @@ def abstract_script(pipeline_id: str, script: str) -> pd.DataFrame:
     return tb.to_pandas()
 
 
-def _abstract_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-    for batch in batches:
-        frames = []
-        for row in batch.itertuples(index=False):
-            try:
-                frames.append(abstract_script(row.pipeline_id, row.script))
-            except SyntaxError:
-                continue
-        yield pd.concat(frames) if frames else TripleBuilder().to_pandas()
-
-
 def abstract_corpus(spark: SparkSession, scripts: DataFrame) -> TripleStore:
     """Distributed G4C abstraction of a scripts DataFrame (same input
-    contract as ``pipeline_abstraction.abstract_corpus``)."""
-    triples = scripts.mapInPandas(_abstract_partition, TRIPLE_SCHEMA)
-    return TripleStore(spark, triples)
+    contract and per-script worker as ``pipeline_abstraction.abstract_corpus``)."""
+    return TripleStore(spark, map_scripts(scripts, _script_graph))
+
+
+def _script_graph(row: tuple) -> pd.DataFrame:
+    return abstract_script(row.pipeline_id, row.script)

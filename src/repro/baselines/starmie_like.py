@@ -143,15 +143,3 @@ def build_index(lake: Lake, epochs: int = _EPOCHS) -> StarmieLikeIndex:
     index.embeddings = emb / norms
     index.preprocessing_s = time.perf_counter() - t0
     return index
-
-
-def evaluate(
-    index: StarmieLikeIndex, lake: Lake, k: int | None = None
-) -> tuple[dict[str, list[str]], float]:
-    k = k or lake.k
-    results: dict[str, list[str]] = {}
-    t0 = time.perf_counter()
-    for q in lake.query_tables:
-        results[q] = [t for t, _ in index.query(q, k=k)]
-    avg_s = (time.perf_counter() - t0) / max(1, len(lake.query_tables))
-    return results, avg_s

@@ -11,15 +11,26 @@ supported by the language"), enriched by:
   *Predicted Dataset Usage* table node, ``df["col"]`` a predicted column
   node (verified later by the Graph Linker).
 
+One recursive walk over a script's statement list abstracts every
+statement under the control-flow type of its enclosing block: ``for``
+and ``while`` bodies are ``loop``, ``if``/``elif``/``else`` bodies
+``conditional`` and ``def`` bodies ``function``; imports register their
+aliases and are ``import``; top-level statements are ``module``. A loop's
+``else`` body is not walked, and ``with``, ``try``, ``class`` and
+``async def`` are each one statement, defined by the first resolvable
+call inside them.
+
 Each statement node carries code flow, data flow, control-flow type and
 raw text; insignificant statements (``print``, ``head``, ...) are
-dropped. The corpus-level entrypoint runs one worker per script via
-``mapInPandas`` (Algorithm 1 line 5: ``S_rdd.map(analyze_pipeline_script)``).
+dropped. The corpus-level entrypoint maps scripts through
+``map_scripts``, one ``mapInPandas`` worker per script (Algorithm 1
+line 5: ``S_rdd.map(analyze_pipeline_script)``) that the GraphGen4Code
+baseline shares.
 """
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import pandas as pd
@@ -38,7 +49,6 @@ class AbstractedStatement:
     text: str
     control_flow: str
     call: str | None = None
-    library: str | None = None
     return_type: str | None = None
     parameters: list[tuple[str, str]] = field(default_factory=list)
     default_parameters: list[tuple[str, str]] = field(default_factory=list)
@@ -48,7 +58,13 @@ class AbstractedStatement:
     column_reads: list[tuple[str, str, str]] = field(default_factory=list)
 
 
-class _Analyzer(ast.NodeVisitor):
+# Statements whose body is walked under their own control-flow type; an
+# ``If``'s ``else`` body is walked too, a loop's is not.
+_BLOCKS = {ast.For: "loop", ast.While: "loop", ast.If: "conditional",
+           ast.FunctionDef: "function"}
+
+
+class _Analyzer:
     """Single-pass statement collector with alias and type tracking."""
 
     def __init__(self) -> None:
@@ -56,7 +72,6 @@ class _Analyzer(ast.NodeVisitor):
         self.var_types: dict[str, str] = {}  # variable -> inferred type
         self.var_tables: dict[str, tuple[str, str]] = {}  # df var -> (ds, table)
         self.statements: list[AbstractedStatement] = []
-        self._control = ["module"]
 
     # ---- helpers ----
     def _dotted(self, node: ast.AST) -> str | None:
@@ -94,31 +109,22 @@ class _Analyzer(ast.NodeVisitor):
         if dotted is None:
             return
         qualified = self._qualify(dotted)
-        tail = qualified.rsplit(".", 1)[-1]
-        if tail in LD.INSIGNIFICANT_CALLS:
+        if qualified.rsplit(".", 1)[-1] in LD.INSIGNIFICANT_CALLS:
             return
         stmt.call = qualified
-        stmt.library = LD.library_of(qualified)
         doc = LD.lookup(qualified)
-        params: list[tuple[str, str]] = []
+        # positional arguments take their documented names where known
+        names = [n for n, _ in doc["params"]] if doc is not None else []
+        stmt.parameters = [
+            (names[i] if i < len(names) else f"arg{i}", self._literal(arg))
+            for i, arg in enumerate(call.args)
+        ] + [(kw.arg or "**", self._literal(kw.value)) for kw in call.keywords]
         if doc is not None:
             stmt.return_type = doc["returns"]
-            names = [n for n, _ in doc["params"]]
-            for i, arg in enumerate(call.args):
-                pname = names[i] if i < len(names) else f"arg{i}"
-                params.append((pname, self._literal(arg)))
-            for kw in call.keywords:
-                params.append((kw.arg or "**", self._literal(kw.value)))
-            given = {n for n, _ in params}
+            given = {n for n, _ in stmt.parameters}
             stmt.default_parameters = [
                 (n, repr(d)) for n, d in doc["params"] if n not in given
             ]
-        else:
-            for i, arg in enumerate(call.args):
-                params.append((f"arg{i}", self._literal(arg)))
-            for kw in call.keywords:
-                params.append((kw.arg or "**", self._literal(kw.value)))
-        stmt.parameters = params
         # dataset usage analysis: pandas.read_csv('dataset/table.csv')
         if qualified == "pandas.read_csv" and call.args:
             arg0 = call.args[0]
@@ -153,12 +159,12 @@ class _Analyzer(ast.NodeVisitor):
                     for k in keys:
                         stmt.column_reads.append((ds, tab, k))
 
-    # ---- statement-level visitation ----
-    def _add_statement(self, node: ast.stmt) -> None:
+    # ---- statement walk ----
+    def _add_statement(self, node: ast.stmt, control: str) -> None:
         stmt = AbstractedStatement(
             index=len(self.statements),
             text=ast.unparse(node),
-            control_flow=self._control[-1],
+            control_flow=control,
         )
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call):
@@ -190,69 +196,31 @@ class _Analyzer(ast.NodeVisitor):
                     self.var_tables[t] = stmt.dataset_read
                 elif inherited:
                     self.var_tables[t] = inherited
-        if stmt.call and stmt.call.rsplit(".", 1)[-1] in LD.INSIGNIFICANT_CALLS:
+        # bare expressions with no calls/assignments are insignificant
+        if control != "import" and not (stmt.call or stmt.writes or stmt.column_reads):
             return
-        if not stmt.call and not stmt.writes and not stmt.column_reads:
-            # bare expressions with no calls/assignments are insignificant
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):
-                return
         self.statements.append(stmt)
 
-    def visit_Import(self, node: ast.Import) -> None:
-        for a in node.names:
-            self.aliases[a.asname or a.name.split(".")[0]] = a.name
-        self._control.append("import")
-        self._add_statement(node)
-        self._control.pop()
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        for a in node.names:
-            self.aliases[a.asname or a.name] = f"{node.module}.{a.name}"
-        self._control.append("import")
-        self._add_statement(node)
-        self._control.pop()
-
-    def _visit_block(self, body: list[ast.stmt]) -> None:
-        for child in body:
-            self.visit(child)
-
-    def visit_For(self, node: ast.For) -> None:
-        self._control.append("loop")
-        self._visit_block(node.body)
-        self._control.pop()
-
-    def visit_While(self, node: ast.While) -> None:
-        self._control.append("loop")
-        self._visit_block(node.body)
-        self._control.pop()
-
-    def visit_If(self, node: ast.If) -> None:
-        self._control.append("conditional")
-        self._visit_block(node.body)
-        self._visit_block(node.orelse)
-        self._control.pop()
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._control.append("function")
-        self._visit_block(node.body)
-        self._control.pop()
-
-    def generic_visit(self, node: ast.AST) -> None:
-        if isinstance(node, ast.stmt) and not isinstance(
-            node, (ast.FunctionDef, ast.For, ast.While, ast.If, ast.Import,
-                   ast.ImportFrom, ast.Module)
-        ):
-            self._add_statement(node)
-        else:
-            super().generic_visit(node)
+    def walk(self, body: list[ast.stmt], control: str) -> None:
+        """Abstract each statement of ``body`` under the control-flow
+        type ``control``; the bodies of ``_BLOCKS`` under their own."""
+        for node in body:
+            if type(node) in _BLOCKS:
+                inner = node.body + node.orelse if isinstance(node, ast.If) else node.body
+                self.walk(inner, _BLOCKS[type(node)])
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+                for a in node.names:
+                    self.aliases[a.asname or a.name.split(".")[0]] = prefix + a.name
+                self._add_statement(node, "import")
+            else:
+                self._add_statement(node, control)
 
 
 def analyze_script(script: str) -> list[AbstractedStatement]:
     """Static + documentation + dataset-usage analysis of one script."""
     analyzer = _Analyzer()
-    tree = ast.parse(script)
-    for node in tree.body:
-        analyzer.visit(node)
+    analyzer.walk(ast.parse(script).body, "module")
     return analyzer.statements
 
 
@@ -294,7 +262,7 @@ def statements_to_triples(
             last_writer[var] = uri
         if st.call:
             tb.add(uri, O.CALLS, O.library(st.call))
-            tb.add(uri, O.CALLS_LIBRARY, O.library(st.library))
+            tb.add(uri, O.CALLS_LIBRARY, O.library(LD.library_of(st.call)))
             for name, value in st.parameters:
                 tb.add(uri, O.HAS_PARAMETER, f"{name}={value}")
             for name, value in st.default_parameters:
@@ -334,28 +302,32 @@ def build_library_graph(used: set[str]) -> pd.DataFrame:
 SCRIPTS_COLUMNS = ["pipeline_id", "script", "dataset", "author", "votes", "score", "task"]
 
 
-def _abstract_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-    for batch in batches:
-        frames = []
-        for row in batch.itertuples(index=False):
-            try:
-                stmts = analyze_script(row.script)
-            except SyntaxError:
-                continue
-            frames.append(
-                statements_to_triples(
-                    row.pipeline_id,
-                    stmts,
-                    {
-                        "author": row.author,
-                        "votes": row.votes,
-                        "score": row.score,
-                        "task": row.task,
-                        "dataset": row.dataset,
-                    },
-                )
-            )
-        yield pd.concat(frames) if frames else TripleBuilder().to_pandas()
+def map_scripts(
+    scripts: DataFrame, graph_of: Callable[[tuple], pd.DataFrame]
+) -> DataFrame:
+    """Run ``graph_of`` once per script row on the Spark workers
+    (Algorithm 1 line 5: ``S_rdd.map(analyze_pipeline_script)``) and
+    return the union of the triple frames it makes. A row is a
+    ``SCRIPTS_COLUMNS`` namedtuple; scripts that do not parse are skipped.
+    KGLiDS and the GraphGen4Code baseline share this worker."""
+
+    def partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        for batch in batches:
+            frames = []
+            for row in batch.itertuples(index=False):
+                try:
+                    frames.append(graph_of(row))
+                except SyntaxError:
+                    continue
+            yield pd.concat(frames) if frames else TripleBuilder().to_pandas()
+
+    return scripts.mapInPandas(partition, TRIPLE_SCHEMA)
+
+
+def _pipeline_graph(row: tuple) -> pd.DataFrame:
+    return statements_to_triples(
+        row.pipeline_id, analyze_script(row.script), row._asdict()
+    )
 
 
 def abstract_corpus(spark: SparkSession, scripts: DataFrame) -> TripleStore:
@@ -365,9 +337,7 @@ def abstract_corpus(spark: SparkSession, scripts: DataFrame) -> TripleStore:
     on the driver from the (small) set of distinct calls; the per-script
     named graphs are produced by parallel workers.
     """
-    pipeline_triples = scripts.mapInPandas(
-        _abstract_partition, TRIPLE_SCHEMA
-    ).persist()
+    pipeline_triples = map_scripts(scripts, _pipeline_graph).persist()
     # library graph from the distinct calls the abstraction just found
     call_rows = (
         pipeline_triples.filter(pipeline_triples.p == O.CALLS)

@@ -124,11 +124,7 @@ def _profile_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame
                     .tolist(),
                 }
             )
-        yield pd.DataFrame(
-            out, columns=[f.name for f in PROFILE_SCHEMA.fields]
-        ) if out else pd.DataFrame(
-            {f.name: pd.Series(dtype="object") for f in PROFILE_SCHEMA.fields}
-        )
+        yield pd.DataFrame(out, columns=[f.name for f in PROFILE_SCHEMA.fields])
 
 
 def profile_columns(columns_df: DataFrame) -> DataFrame:

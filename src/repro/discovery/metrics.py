@@ -1,6 +1,10 @@
 """Precision@k / Recall@k for table-union search (paper §6.1.1)."""
 from __future__ import annotations
 
+import time
+
+from repro.lakegen.lake import Lake
+
 
 def precision_at_k(ranked: list[str], truth: set[str], k: int) -> float:
     """Fraction of the top-k results that are truly unionable."""
@@ -28,3 +32,18 @@ def average_pr_at_k(
     ps = [precision_at_k(r, truths[q], k) for q, r in results.items()]
     rs = [recall_at_k(r, truths[q], k) for q, r in results.items()]
     return sum(ps) / len(ps), sum(rs) / len(rs)
+
+
+def evaluate(
+    index, lake: Lake, k: int | None = None
+) -> tuple[dict[str, list[str]], float]:
+    """Run a lake's benchmark queries against any union-search index with
+    ``query(table, k)``; returns the rankings and the average query
+    seconds."""
+    k = k or lake.k
+    results: dict[str, list[str]] = {}
+    t0 = time.perf_counter()
+    for q in lake.query_tables:
+        results[q] = [t for t, _ in index.query(q, k=k)]
+    avg_s = (time.perf_counter() - t0) / max(1, len(lake.query_tables))
+    return results, avg_s

@@ -132,16 +132,3 @@ def index_from_graph(graph: TripleStore, lake: Lake) -> UnionSearchIndex:
     index = UnionSearchIndex(edges=edges, n_cols=n_cols)
     index._build_query_index()
     return index
-
-
-def evaluate(
-    index: UnionSearchIndex, lake: Lake, k: int | None = None
-) -> tuple[dict[str, list[str]], float]:
-    """Run all benchmark queries; returns rankings and avg query seconds."""
-    k = k or lake.k
-    results: dict[str, list[str]] = {}
-    t0 = time.perf_counter()
-    for q in lake.query_tables:
-        results[q] = [t for t, _ in index.query(q, k=k)]
-    avg_s = (time.perf_counter() - t0) / max(1, len(lake.query_tables))
-    return results, avg_s

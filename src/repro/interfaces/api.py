@@ -60,7 +60,9 @@ def find_unionable_columns(
     index: UnionSearchIndex, table_a: str, table_b: str
 ) -> pd.DataFrame:
     """Matched (unionable) column pairs between two tables — the
-    recommended merged schema of §5."""
+    recommended merged schema of §5. Each column of ``table_a`` keeps its
+    most similar partner, the first by name on ties; rows run by
+    similarity, then by name."""
     edges = index.edges
     mine = edges[
         (edges["table_a"] == table_a) & (edges["table_b"] == table_b)
@@ -69,7 +71,8 @@ def find_unionable_columns(
         return pd.DataFrame(columns=["column_a", "column_b", "similarity"])
     best = (
         mine.groupby(["col_a", "col_b"])["w"].max().reset_index()
-        .sort_values("w", ascending=False)
+        # groupby yields (col_a, col_b) order; a stable sort keeps it on ties
+        .sort_values("w", ascending=False, kind="stable")
         .drop_duplicates("col_a")
         .rename(columns={"col_a": "column_a", "col_b": "column_b",
                          "w": "similarity"})

@@ -37,14 +37,14 @@ def test_union_search_finds_group_members(lake, index):
 
 
 def test_union_search_accuracy(lake, index):
-    results, _ = us.evaluate(index, lake)
+    results, _ = metrics.evaluate(index, lake)
     truths = {q: lake.unionable_with(q) for q in lake.query_tables}
     p, r = metrics.average_pr_at_k(results, truths, lake.k)
     assert p > 0.7 and r > 0.7
 
 
 def test_union_query_is_sub_millisecond(lake, index):
-    _, avg_s = us.evaluate(index, lake)
+    _, avg_s = metrics.evaluate(index, lake)
     assert avg_s < 0.05  # pre-materialized edges -> index lookups
 
 
@@ -76,7 +76,7 @@ def test_no_join_path_returns_none(index):
 
 def test_starmie_like_accuracy(lake):
     idx = starmie_like.build_index(lake, epochs=2)
-    results, _ = starmie_like.evaluate(idx, lake)
+    results, _ = metrics.evaluate(idx, lake)
     truths = {q: lake.unionable_with(q) for q in lake.query_tables}
     p, r = metrics.average_pr_at_k(results, truths, lake.k)
     assert p > 0.5
@@ -90,7 +90,7 @@ def test_starmie_preprocessing_slower_than_embedding_free_lookup(lake):
 
 def test_santos_like_accuracy(lake):
     idx = santos_like.build_index(lake)
-    results, _ = santos_like.evaluate(idx, lake)
+    results, _ = metrics.evaluate(idx, lake)
     truths = {q: lake.unionable_with(q) for q in lake.query_tables}
     p, r = metrics.average_pr_at_k(results, truths, lake.k)
     assert p > 0.3  # SANTOS is the weakest on D3L-style lakes (paper)
@@ -98,6 +98,6 @@ def test_santos_like_accuracy(lake):
 
 def test_santos_queries_are_value_granular_and_slow(lake):
     idx = santos_like.build_index(lake)
-    _, avg_s = santos_like.evaluate(idx, lake)
+    _, avg_s = metrics.evaluate(idx, lake)
     kg_avg = 0.001  # KGLiDS queries are ~ms (asserted above)
     assert avg_s > kg_avg  # value-granularity matching costs more

@@ -75,11 +75,16 @@ def test_g4c_corpus_spark(spark):
 
 
 def test_g4c_skips_broken_scripts(spark):
+    """A script that does not parse is dropped; the good one in the same
+    batch keeps its whole graph."""
     rows = [
+        {"pipeline_id": "good", "script": SCRIPT, "dataset": "titanic",
+         "author": "a", "votes": 1, "score": 0.5, "task": "clf"},
         {"pipeline_id": "bad", "script": "def x(:", "dataset": "d",
          "author": "a", "votes": 1, "score": 0.5, "task": "clf"},
     ]
-    store = g4c.abstract_corpus(
-        spark, spark.createDataFrame(pd.DataFrame(rows)[SCRIPTS_COLUMNS])
-    )
-    assert store.n_triples() == 0
+    scripts = spark.createDataFrame(pd.DataFrame(rows)[SCRIPTS_COLUMNS]).coalesce(1)
+    store = g4c.abstract_corpus(spark, scripts)
+    graphs = {r["g"] for r in store.df.select("g").distinct().collect()}
+    assert graphs == {g4c.g4c_graph_uri("good")}
+    assert store.n_triples() == len(g4c.abstract_script("good", SCRIPT))

@@ -97,6 +97,22 @@ def test_find_unionable_columns_unrelated(lake, index):
     assert len(pairs) <= len(member_pairs)
 
 
+def test_find_unionable_columns_breaks_ties_by_name():
+    """Equal similarities are ordered by column name, and each column
+    keeps its first-named partner."""
+    cols = [f"c{i:02d}" for i in range(40)]
+    edges = pd.DataFrame(
+        [("A", c, "B", partner, O.LABEL_SIMILARITY, 1.0)
+         for c in cols for partner in ("z", "y")]
+        + [("A", "a", "B", "x", O.CONTENT_SIMILARITY, 0.5)],
+        columns=["table_a", "col_a", "table_b", "col_b", "pred", "w"],
+    )
+    pairs = api.find_unionable_columns(us.UnionSearchIndex(edges, {}), "A", "B")
+    assert list(pairs.itertuples(index=False, name=None)) == (
+        [(c, "y", 1.0) for c in cols] + [("a", "x", 0.5)]
+    )
+
+
 def test_get_path_to_table(lake, index):
     q = lake.query_tables[0]
     member = sorted(lake.unionable_with(q))[0]

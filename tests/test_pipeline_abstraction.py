@@ -1,4 +1,6 @@
 """Tests for Pipeline Abstraction (Algorithm 1) on the Figure-3 example."""
+import hashlib
+
 import pandas as pd
 import pytest
 
@@ -10,6 +12,7 @@ from repro.core.pipeline_abstraction import (
     build_library_graph,
     statements_to_triples,
 )
+from repro.pipelines_corpus.generator import make_corpus
 
 FIGURE3 = """
 import pandas as pd
@@ -166,3 +169,110 @@ def test_each_pipeline_gets_own_named_graph(spark):
     graphs = {r["g"] for r in store.df.select("g").distinct().collect()}
     pipeline_graphs = {g for g in graphs if "pipelineGraph" in g}
     assert len(pipeline_graphs) == 3
+
+
+# Every statement kind the walk distinguishes: imports at top level and
+# in a loop, loops with ``else``, ``if``/``elif``/``else``, nested
+# ``def``, ``async def``, ``class``, ``with``, ``try``, tuple assignment
+# and a list-subscript column read.
+KINDS = """
+import pandas as pd
+from sklearn.preprocessing import StandardScaler
+import os.path
+from . import helpers
+path = os.path.join('kinds', 'train.csv')
+df = pd.read_csv('kinds/train.csv')
+extra = helpers.load(path)
+X, y = df.drop('target', axis=1), df['target']
+pair = df[['a', 'b']]
+for i in range(3):
+    import numpy as np
+    df = df.fillna(i)
+else:
+    df = df.dropna()
+while len(df) > 10:
+    df = df.sample(10)
+else:
+    df = df.copy()
+if len(df) > 5:
+    df = df.dropna()
+elif len(df) > 2:
+    df = df.fillna(0)
+else:
+    df = df.interpolate()
+def prepare(frame):
+    scaler = StandardScaler()
+    def inner(x):
+        return np.log(x)
+    return scaler.fit_transform(frame)
+async def fetch(url):
+    return pd.read_csv(url)
+class Model:
+    def fit(self, X):
+        return StandardScaler().fit(X)
+with open('out.csv') as fh:
+    df.to_csv(fh)
+try:
+    df = pd.read_csv('kinds/test.csv')
+except OSError:
+    df = None
+print(df.head())
+df.head()
+"""
+
+
+def test_every_statement_kind():
+    """Loop ``else`` bodies are not walked; ``with``, ``try``, ``class``
+    and ``async def`` are one statement each, named by their first
+    resolvable call."""
+    got = [(s.text, s.control_flow, s.call) for s in analyze_script(KINDS)]
+    assert got == [
+        ("import pandas as pd", "import", None),
+        ("from sklearn.preprocessing import StandardScaler", "import", None),
+        ("import os.path", "import", None),
+        ("from . import helpers", "import", None),
+        ("path = os.path.join('kinds', 'train.csv')", "module", "os.path.path.join"),
+        ("df = pd.read_csv('kinds/train.csv')", "module", "pandas.read_csv"),
+        ("extra = helpers.load(path)", "module", "None.helpers.load"),
+        ("X, y = (df.drop('target', axis=1), df['target'])", "module",
+         "pandas.DataFrame.drop"),
+        ("pair = df[['a', 'b']]", "module", None),
+        ("import numpy as np", "import", None),
+        ("df = df.fillna(i)", "loop", "pandas.DataFrame.fillna"),
+        ("df = df.sample(10)", "loop", "pandas.DataFrame.sample"),
+        ("df = df.dropna()", "conditional", "pandas.DataFrame.dropna"),
+        ("df = df.fillna(0)", "conditional", "pandas.DataFrame.fillna"),
+        ("df = df.interpolate()", "conditional", "pandas.DataFrame.interpolate"),
+        ("scaler = StandardScaler()", "function",
+         "sklearn.preprocessing.StandardScaler"),
+        ("return np.log(x)", "function", "numpy.log"),
+        ("return scaler.fit_transform(frame)", "function",
+         "sklearn.preprocessing.StandardScaler.fit_transform"),
+        ("async def fetch(url):\n    return pd.read_csv(url)", "module",
+         "pandas.read_csv"),
+        ("class Model:\n\n    def fit(self, X):\n"
+         "        return StandardScaler().fit(X)", "module",
+         "sklearn.preprocessing.StandardScaler"),
+        ("with open('out.csv') as fh:\n    df.to_csv(fh)", "module", "open"),
+        ("try:\n    df = pd.read_csv('kinds/test.csv')\nexcept OSError:\n"
+         "    df = None", "module", "pandas.read_csv"),
+    ]
+
+
+def test_alg1_output_is_pinned():
+    """Alg. 1's named graphs for 300 corpus scripts plus ``KINDS``, as
+    the sha256 of their sorted quads. A change here changes the Table 3
+    and Table 4 graphs."""
+    _, scripts = make_corpus(n_datasets=30, pipelines_per_dataset=10, rows=50, seed=7)
+    frames = [
+        statements_to_triples(r.pipeline_id, analyze_script(r.script), r._asdict())
+        for r in scripts.itertuples(index=False)
+    ]
+    frames.append(statements_to_triples("kinds", analyze_script(KINDS), {"dataset": "kinds"}))
+    quads = sorted(
+        "\t".join(map(str, q)) for f in frames for q in f.itertuples(index=False)
+    )
+    assert len(quads) == 49383
+    assert hashlib.sha256("\n".join(quads).encode()).hexdigest() == (
+        "6194c6c8bea565a7b01966f589965a59929279ccbbd6767e1bc3e7f4080022e0"
+    )
