@@ -10,6 +10,8 @@ WALA-style whole-program dataflow fixpoint (quadratic in statements,
 iterated), which is why its analysis is an order of magnitude slower.
 It models no RDF node types, no dataset reads and no library hierarchy
 (Table 4's '-' rows), and does not consult library documentation.
+Each of its properties is declared once below with the Table 4 aspect
+it models (``ontology.predicate``), as KGLiDS's own are.
 Its corpus runs on KGLiDS's per-script Spark worker
 (``pipeline_abstraction.map_scripts``), so Tables 3 and 4 differ only
 in the per-script analysis.
@@ -24,6 +26,26 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core import ontology as O
 from repro.core.pipeline_abstraction import map_scripts
 from repro.core.triples import TripleBuilder, TripleStore
+
+# The G4C vocabulary, each property with the Table 4 aspect it models.
+AT_LINE = O.predicate("g4c/atLine", "statement_location")
+AT_COL = O.predicate("g4c/atCol", "statement_location")
+FLOWS_TO = O.predicate("g4c/flowsTo", "code_flow")
+CONTAINS = O.predicate("g4c/contains", "code_flow")
+EXPRESSION_TEXT = O.predicate("g4c/expressionText", "statement_text")
+SOURCE_TEXT = O.predicate("g4c/sourceText", "statement_text")
+CONTROL_FLOW = O.predicate("g4c/controlFlow", "control_flow_type")
+VARIABLE_NAME = O.predicate("g4c/variableName", "variable_names")
+WRITES_VARIABLE = O.predicate("g4c/writesVariable", "data_flow")
+READS_VARIABLE = O.predicate("g4c/readsVariable", "data_flow")
+DATA_FLOW = O.predicate("g4c/dataFlow", "data_flow")
+CALLS_CANDIDATE = O.predicate("g4c/callsCandidate", "library_calls")
+CALLS = O.predicate("g4c/calls", "library_calls")
+HAS_ARGUMENT = O.predicate("g4c/hasArgument", "func_parameter_order")
+ARGUMENT_INDEX = O.predicate("g4c/argumentIndex", "func_parameter_order")
+HAS_KEYWORD_ARGUMENT = O.predicate("g4c/hasKeywordArgument", "func_parameter_order")
+PARAMETER_VALUE = O.predicate("g4c/parameterValue", "func_parameters")
+READS_ELEMENT = O.predicate("g4c/readsElement", "column_reads")
 
 # WALA-like iterative dataflow rounds (call-string depth x iterations).
 # Real GraphGen4Code runs WALA's exhaustive interprocedural analysis over
@@ -58,43 +80,33 @@ def abstract_script(pipeline_id: str, script: str) -> pd.DataFrame:
     for i, node in enumerate(nodes):
         uri = _node_uri(pipeline_id, i)
         # statement location (file/line/col) — local syntactic detail
-        tb.add(uri, O.onto("g4c/atLine"), str(getattr(node, "lineno", 0)),
-               aspect="statement_location")
-        tb.add(uri, O.onto("g4c/atCol"), str(getattr(node, "col_offset", 0)),
-               aspect="statement_location")
+        tb.add(uri, AT_LINE, str(getattr(node, "lineno", 0)))
+        tb.add(uri, AT_COL, str(getattr(node, "col_offset", 0)))
         # sub-expression-granularity code flow + syntactic containment
         if prev_uri is not None:
-            tb.add(prev_uri, O.onto("g4c/flowsTo"), uri, aspect="code_flow")
+            tb.add(prev_uri, FLOWS_TO, uri)
         prev_uri = uri
         for child in ast.iter_child_nodes(node):
             if id(child) in index_of:
-                tb.add(uri, O.onto("g4c/contains"),
-                       _node_uri(pipeline_id, index_of[id(child)]),
-                       aspect="code_flow")
+                tb.add(uri, CONTAINS, _node_uri(pipeline_id, index_of[id(child)]))
         if isinstance(node, (ast.Attribute, ast.Subscript, ast.Call)):
             try:
-                tb.add(uri, O.onto("g4c/expressionText"), ast.unparse(node),
-                       aspect="statement_text")
+                tb.add(uri, EXPRESSION_TEXT, ast.unparse(node))
             except Exception:
                 pass
         if isinstance(node, ast.stmt):
             try:
-                tb.add(uri, O.onto("g4c/sourceText"), ast.unparse(node),
-                       aspect="statement_text")
+                tb.add(uri, SOURCE_TEXT, ast.unparse(node))
             except Exception:
                 pass
-            tb.add(uri, O.onto("g4c/controlFlow"), type(node).__name__,
-                   aspect="control_flow_type")
+            tb.add(uri, CONTROL_FLOW, type(node).__name__)
         if isinstance(node, ast.Name):
-            tb.add(uri, O.onto("g4c/variableName"), node.id,
-                   aspect="variable_names")
+            tb.add(uri, VARIABLE_NAME, node.id)
             if isinstance(node.ctx, ast.Store):
-                tb.add(uri, O.onto("g4c/writesVariable"), node.id,
-                       aspect="data_flow")
+                tb.add(uri, WRITES_VARIABLE, node.id)
                 writes_by_node.setdefault(i, set()).add(node.id)
             else:
-                tb.add(uri, O.onto("g4c/readsVariable"), node.id,
-                       aspect="data_flow")
+                tb.add(uri, READS_VARIABLE, node.id)
                 reads_by_node.setdefault(i, set()).add(node.id)
         if isinstance(node, ast.Call):
             try:
@@ -103,34 +115,26 @@ def abstract_script(pipeline_id: str, script: str) -> pd.DataFrame:
                 callee = "?"
             # one triple per resolution attempt along the attribute chain
             for part in callee.split("."):
-                tb.add(uri, O.onto("g4c/callsCandidate"), part,
-                       aspect="library_calls")
-            tb.add(uri, O.onto("g4c/calls"), callee, aspect="library_calls")
+                tb.add(uri, CALLS_CANDIDATE, part)
+            tb.add(uri, CALLS, callee)
             for pos, arg in enumerate(node.args):
                 arg_uri = _node_uri(pipeline_id, index_of.get(id(arg), i))
                 # the parameter-order bookkeeping: order + edge per argument
-                tb.add(uri, O.onto("g4c/hasArgument"), arg_uri,
-                       aspect="func_parameter_order")
-                tb.add(arg_uri, O.onto("g4c/argumentIndex"), str(pos),
-                       aspect="func_parameter_order")
+                tb.add(uri, HAS_ARGUMENT, arg_uri)
+                tb.add(arg_uri, ARGUMENT_INDEX, str(pos))
                 try:
-                    tb.add(uri, O.onto("g4c/parameterValue"), ast.unparse(arg),
-                           aspect="func_parameters")
+                    tb.add(uri, PARAMETER_VALUE, ast.unparse(arg))
                 except Exception:
                     pass
             for kw in node.keywords:
-                tb.add(uri, O.onto("g4c/hasKeywordArgument"), kw.arg or "**",
-                       aspect="func_parameter_order")
+                tb.add(uri, HAS_KEYWORD_ARGUMENT, kw.arg or "**")
                 try:
-                    tb.add(uri, O.onto("g4c/parameterValue"),
-                           f"{kw.arg}={ast.unparse(kw.value)}",
-                           aspect="func_parameters")
+                    tb.add(uri, PARAMETER_VALUE, f"{kw.arg}={ast.unparse(kw.value)}")
                 except Exception:
                     pass
         if isinstance(node, ast.Subscript):
             try:
-                tb.add(uri, O.onto("g4c/readsElement"), ast.unparse(node.slice),
-                       aspect="column_reads")
+                tb.add(uri, READS_ELEMENT, ast.unparse(node.slice))
             except Exception:
                 pass
     # WALA-style whole-program dataflow: a context-sensitive fixpoint —
@@ -161,8 +165,7 @@ def abstract_script(pipeline_id: str, script: str) -> pd.DataFrame:
                             flow_edges.add((i, j))
                         reach[j] = reach[j] | ri
     for i, j in sorted(flow_edges):
-        tb.add(_node_uri(pipeline_id, i), O.onto("g4c/dataFlow"),
-               _node_uri(pipeline_id, j), aspect="data_flow")
+        tb.add(_node_uri(pipeline_id, i), DATA_FLOW, _node_uri(pipeline_id, j))
     return tb.to_pandas()
 
 

@@ -144,16 +144,16 @@ def sample_size(n: int) -> int:
     return min(n, max(int(0.1 * n), 1000))
 
 
-def sample_values(values: pd.Series | np.ndarray | list, *, seed: int = 0) -> pd.Series:
+def sample_values(values: pd.Series | np.ndarray | list) -> pd.Series:
     """Algorithm 2's sample of a column: its non-null values, at most
-    ``sample_size`` of them drawn without replacement, in the column's
-    dtype. The one sampler of Alg. 2, for the Spark profiler and the
-    driver alike."""
+    ``sample_size`` of them drawn without replacement by a fixed-seed
+    generator, in the column's dtype. The one sampler of Alg. 2, for the
+    Spark profiler and the driver alike."""
     s = values if isinstance(values, pd.Series) else pd.Series(values, dtype=object)
     s = s.dropna()
     k = sample_size(len(s))
     if k < len(s):
-        s = s.iloc[np.random.default_rng(seed).choice(len(s), k, replace=False)]
+        s = s.iloc[np.random.default_rng(0).choice(len(s), k, replace=False)]
     return s.reset_index(drop=True)
 
 
@@ -175,6 +175,6 @@ def embed_sample(values: pd.Series | np.ndarray | list, fgt: FineGrainedType) ->
     return _forward(feats, fgt).mean(axis=0) - _CENTERS[fgt]
 
 
-def embed_values(values: pd.Series | np.ndarray | list, fgt: FineGrainedType, *, seed: int = 0) -> np.ndarray:
+def embed_values(values: pd.Series | np.ndarray | list, fgt: FineGrainedType) -> np.ndarray:
     """Average CoLR embedding over a sample of ``values`` (Alg. 2 l. 8-10)."""
-    return embed_sample(sample_values(values, seed=seed), fgt)
+    return embed_sample(sample_values(values), fgt)

@@ -3,8 +3,10 @@
 The paper's ontology (OWL 2) has 13 classes, 19 object properties and 22
 data properties under ``http://kglids.org/ontology/``; resources live
 under ``http://kglids.org/resource/``. We reproduce the vocabulary that
-the platform's algorithms and the Table-3/4 accounting actually touch,
-and tag every predicate with the "modelled aspect" used by Table 4.
+the platform's algorithms and the Table-3/4 accounting actually touch.
+Each property is registered once with the Table 4 "modelled aspect" it
+models (``predicate``); ``aspect_of`` looks it up, so triples carry no
+aspect of their own.
 """
 from __future__ import annotations
 
@@ -49,82 +51,60 @@ COLUMN = onto("Column")
 PIPELINE = onto("Pipeline")
 STATEMENT = onto("Statement")
 LIBRARY = onto("Library")
-SUBPACKAGE = onto("Subpackage")
-CLASS = onto("Class")
 FUNCTION = onto("Function")
 
 # ---- Object / data properties, with their Table-4 modelled aspect ----
 # aspect keys follow Table 4 rows exactly.
-ASPECT_OF_PREDICATE: dict[str, str] = {}
+ASPECT_OF_PREDICATE: dict[str, str] = {
+    RDF_TYPE: "rdf_node_types",
+    RDFS_LABEL: "rdf_node_types",
+}
 
 
-def _p(name: str, aspect: str) -> str:
+def predicate(name: str, aspect: str) -> str:
+    """The URI of property ``name``, registered as modelling the Table 4
+    ``aspect``."""
     uri = onto(name)
     ASPECT_OF_PREDICATE[uri] = aspect
     return uri
 
 
+def aspect_of(p: str) -> str:
+    """The Table 4 aspect predicate ``p`` models; ``"other"`` if
+    unregistered."""
+    return ASPECT_OF_PREDICATE.get(p, "other")
+
+
 # structural / metadata
-IS_PART_OF = _p("isPartOf", "rdf_node_types")  # column->table->dataset
-HAS_TYPE = _p("hasFineGrainedType", "rdf_node_types")
-HAS_TOTAL_VALUES = _p("hasTotalValueCount", "rdf_node_types")
-HAS_DISTINCT_VALUES = _p("hasDistinctValueCount", "rdf_node_types")
-HAS_NULL_COUNT = _p("hasNullCount", "rdf_node_types")
-HAS_TRUE_RATIO = _p("hasTrueRatio", "rdf_node_types")
+IS_PART_OF = predicate("isPartOf", "rdf_node_types")  # column->table->dataset
+HAS_TYPE = predicate("hasFineGrainedType", "rdf_node_types")
+HAS_TOTAL_VALUES = predicate("hasTotalValueCount", "rdf_node_types")
+HAS_DISTINCT_VALUES = predicate("hasDistinctValueCount", "rdf_node_types")
+HAS_NULL_COUNT = predicate("hasNullCount", "rdf_node_types")
+HAS_TRUE_RATIO = predicate("hasTrueRatio", "rdf_node_types")
 
 # dataset-graph similarity edges (RDF-star annotated with the score)
-LABEL_SIMILARITY = _p("hasLabelSimilarity", "rdf_node_types")
-CONTENT_SIMILARITY = _p("hasContentSimilarity", "rdf_node_types")
+LABEL_SIMILARITY = predicate("hasLabelSimilarity", "rdf_node_types")
+CONTENT_SIMILARITY = predicate("hasContentSimilarity", "rdf_node_types")
 
 # pipeline graph
-CALLS = _p("callsFunction", "library_calls")
-CALLS_LIBRARY = _p("callsLibrary", "library_calls")
-NEXT_STATEMENT = _p("hasNextStatement", "code_flow")
-DATA_FLOW = _p("hasDataFlowTo", "data_flow")
-CONTROL_FLOW = _p("inControlFlow", "control_flow_type")
-HAS_TEXT = _p("hasText", "statement_text")
-HAS_PARAMETER = _p("hasParameter", "func_parameters")
-PARAMETER_VALUE = _p("withParameterValue", "func_parameters")
-READS_TABLE = _p("readsTable", "dataset_reads")
-READS_COLUMN = _p("readsColumn", "column_reads")
+CALLS = predicate("callsFunction", "library_calls")
+CALLS_LIBRARY = predicate("callsLibrary", "library_calls")
+NEXT_STATEMENT = predicate("hasNextStatement", "code_flow")
+DATA_FLOW = predicate("hasDataFlowTo", "data_flow")
+CONTROL_FLOW = predicate("inControlFlow", "control_flow_type")
+HAS_TEXT = predicate("hasText", "statement_text")
+HAS_PARAMETER = predicate("hasParameter", "func_parameters")
+READS_TABLE = predicate("readsTable", "dataset_reads")
+READS_COLUMN = predicate("readsColumn", "column_reads")
 
 # library graph
-HAS_SUBMODULE = _p("hasSubmodule", "library_hierarchy")
-HAS_FUNCTION = _p("hasFunction", "library_hierarchy")
-RETURNS_TYPE = _p("returnsType", "library_hierarchy")
+HAS_SUBMODULE = predicate("hasSubmodule", "library_hierarchy")
+RETURNS_TYPE = predicate("returnsType", "library_hierarchy")
 
 # pipeline metadata
-HAS_AUTHOR = _p("isWrittenBy", "rdf_node_types")
-HAS_VOTES = _p("hasVotes", "rdf_node_types")
-HAS_SCORE = _p("hasScore", "rdf_node_types")
-HAS_TASK = _p("hasTask", "rdf_node_types")
-USES_DATASET = _p("usesDataset", "dataset_reads")
-
-ASPECT_OF_PREDICATE[RDF_TYPE] = "rdf_node_types"
-ASPECT_OF_PREDICATE[RDFS_LABEL] = "rdf_node_types"
-
-# Table-4 row labels, in presentation order, for both systems.
-KGLIDS_ASPECTS = [
-    "dataset_reads",
-    "library_hierarchy",
-    "rdf_node_types",
-    "column_reads",
-    "library_calls",
-    "code_flow",
-    "data_flow",
-    "control_flow_type",
-    "func_parameters",
-    "statement_text",
-]
-G4C_ASPECTS = [
-    "statement_location",
-    "variable_names",
-    "func_parameter_order",
-    "column_reads",
-    "library_calls",
-    "code_flow",
-    "data_flow",
-    "control_flow_type",
-    "func_parameters",
-    "statement_text",
-]
+HAS_AUTHOR = predicate("isWrittenBy", "rdf_node_types")
+HAS_VOTES = predicate("hasVotes", "rdf_node_types")
+HAS_SCORE = predicate("hasScore", "rdf_node_types")
+HAS_TASK = predicate("hasTask", "rdf_node_types")
+USES_DATASET = predicate("usesDataset", "dataset_reads")

@@ -159,6 +159,18 @@ class _Analyzer:
                     for k in keys:
                         stmt.column_reads.append((ds, tab, k))
 
+    def _bind_import(self, node: ast.Import | ast.ImportFrom) -> None:
+        """``import a.b`` binds ``a``; ``import a.b as x`` binds ``x`` to
+        ``a.b``; ``from m import b`` binds ``b`` to ``m.b``, or to ``b``
+        for a relative ``from . import b``."""
+        for a in node.names:
+            if isinstance(node, ast.ImportFrom):
+                prefix = f"{node.module}." if node.module else ""
+                self.aliases[a.asname or a.name] = prefix + a.name
+            else:
+                head = a.name.split(".")[0]
+                self.aliases[a.asname or head] = a.name if a.asname else head
+
     # ---- statement walk ----
     def _add_statement(self, node: ast.stmt, control: str) -> None:
         stmt = AbstractedStatement(
@@ -209,9 +221,7 @@ class _Analyzer:
                 inner = node.body + node.orelse if isinstance(node, ast.If) else node.body
                 self.walk(inner, _BLOCKS[type(node)])
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
-                for a in node.names:
-                    self.aliases[a.asname or a.name.split(".")[0]] = prefix + a.name
+                self._bind_import(node)
                 self._add_statement(node, "import")
             else:
                 self._add_statement(node, control)

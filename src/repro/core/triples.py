@@ -8,11 +8,11 @@ object, weight) quads where ``weight`` is the RDF-star edge annotation
 record for building the graph and for its statistics. Basic-graph-
 pattern (BGP) queries, the SPARQL substitute, are answered in pandas
 from the quads collected to the driver by the first query: a graph of
-tens of thousands of triples is small, its answers smaller. Every
-triple also carries the Table-4 "modelled aspect" of its predicate for
-the graph-breakdown accounting.
+tens of thousands of triples is small, its answers smaller. The Table 4
+"modelled aspect" of a triple is that of its predicate
+(``ontology.aspect_of``), looked up when the breakdown is counted.
 
-Schema: g, s, p, o: string · w: double (NaN = unannotated) · aspect: string
+Schema: g, s, p, o: string · w: double (NaN = unannotated)
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from .ontology import ASPECT_OF_PREDICATE
+from .ontology import aspect_of
 
 TRIPLE_SCHEMA = T.StructType(
     [
@@ -34,7 +34,6 @@ TRIPLE_SCHEMA = T.StructType(
         T.StructField("p", T.StringType(), False),
         T.StructField("o", T.StringType(), False),
         T.StructField("w", T.DoubleType(), True),
-        T.StructField("aspect", T.StringType(), True),
     ]
 )
 
@@ -48,24 +47,14 @@ class TripleBuilder:
     graph: str = DEFAULT_GRAPH
     rows: list[tuple] = field(default_factory=list)
 
-    def add(
-        self,
-        s: str,
-        p: str,
-        o: str,
-        w: float | None = None,
-        aspect: str | None = None,
-        graph: str | None = None,
-    ) -> None:
-        if aspect is None:
-            aspect = ASPECT_OF_PREDICATE.get(p, "other")
+    def add(self, s: str, p: str, o: str, w: float | None = None) -> None:
         self.rows.append(
-            (graph or self.graph, str(s), str(p), str(o),
-             float(w) if w is not None else math.nan, aspect)
+            (self.graph, str(s), str(p), str(o),
+             float(w) if w is not None else math.nan)
         )
 
     def to_pandas(self) -> pd.DataFrame:
-        return pd.DataFrame(self.rows, columns=["g", "s", "p", "o", "w", "aspect"])
+        return pd.DataFrame(self.rows, columns=["g", "s", "p", "o", "w"])
 
 
 class TripleStore:
@@ -89,9 +78,7 @@ class TripleStore:
     def from_pandas(cls, spark: SparkSession, pdf: pd.DataFrame) -> "TripleStore":
         if pdf.empty:
             return cls.empty(spark)
-        pdf = pdf.astype(
-            {"g": str, "s": str, "p": str, "o": str, "w": "float64", "aspect": str}
-        )
+        pdf = pdf.astype({"g": str, "s": str, "p": str, "o": str, "w": "float64"})
         return cls(spark, spark.createDataFrame(pdf, TRIPLE_SCHEMA))
 
     def union(self, other: "TripleStore") -> "TripleStore":
@@ -125,12 +112,15 @@ class TripleStore:
         return int(row["b"] or 0)
 
     def aspect_breakdown(self) -> pd.DataFrame:
-        """Triple counts per modelled aspect (Table 4)."""
+        """Triple counts per modelled aspect (Table 4), most first, ties
+        by aspect name: counted per predicate on Spark, then summed per
+        ``aspect_of`` the predicate on the driver."""
+        per_p = self.df.groupBy("p").agg(F.count("*").alias("n_triples")).toPandas()
         pdf = (
-            self.df.groupBy("aspect")
-            .agg(F.count("*").alias("n_triples"))
-            .toPandas()
-            .sort_values("n_triples", ascending=False)
+            per_p.groupby(per_p["p"].map(aspect_of).rename("aspect"))["n_triples"]
+            .sum()
+            .reset_index()
+            .sort_values(["n_triples", "aspect"], ascending=[False, True])
             .reset_index(drop=True)
         )
         pdf["pct"] = 100.0 * pdf["n_triples"] / pdf["n_triples"].sum()

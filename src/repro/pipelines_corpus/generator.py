@@ -37,8 +37,6 @@ BEST_SCALER_OF_SHAPE = {
 }
 SCALERS = sorted(set(BEST_SCALER_OF_SHAPE.values()))
 
-UNARY_TRANSFORMS = ["log", "sqrt", "none"]
-
 CLASSIFIERS = [
     ("sklearn.ensemble.RandomForestClassifier", "RandomForestClassifier",
      {"n_estimators": [50, 100, 200], "max_depth": [5, 10, 20]}),

@@ -128,9 +128,9 @@ def reference_dataset_graph(spark, profiles: DataFrame, thresholds=SimilarityThr
 
 
 def _multiset(df: DataFrame) -> Counter:
-    """(g, s, p, o, w, aspect) rows, NaN weights as None."""
+    """(g, s, p, o, w) rows, NaN weights as None."""
     return Counter(
-        (r.g, r.s, r.p, r.o, None if r.w is None or np.isnan(r.w) else r.w, r.aspect)
+        (r.g, r.s, r.p, r.o, None if r.w is None or np.isnan(r.w) else r.w)
         for r in df.collect()
     )
 
@@ -171,7 +171,7 @@ def test_dataset_graph_equals_reference(spark, profiles, thresholds):
     got = _multiset(build_dataset_graph(spark, profiles, thresholds).df)
     want = _multiset(reference_dataset_graph(spark, profiles, thresholds).df)
     assert got == want
-    preds = {p for (_, _, p, _, _, _) in got}
+    preds = {p for (_, _, p, _, _) in got}
     assert {O.LABEL_SIMILARITY, O.CONTENT_SIMILARITY, O.HAS_TRUE_RATIO} <= preds
 
 

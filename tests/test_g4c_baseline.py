@@ -3,6 +3,7 @@ import pandas as pd
 import pytest
 
 from repro.baselines import graphgen4code_like as g4c
+from repro.core.ontology import aspect_of
 from repro.core.pipeline_abstraction import (
     SCRIPTS_COLUMNS,
     analyze_script,
@@ -35,7 +36,7 @@ def test_g4c_graph_is_much_larger(g4c_triples, kglids_triples):
 
 
 def test_g4c_records_local_syntactic_detail(g4c_triples):
-    aspects = set(g4c_triples["aspect"])
+    aspects = set(g4c_triples["p"].map(aspect_of))
     assert "statement_location" in aspects
     assert "variable_names" in aspects
     assert "func_parameter_order" in aspects
@@ -43,20 +44,20 @@ def test_g4c_records_local_syntactic_detail(g4c_triples):
 
 def test_g4c_misses_data_science_aspects(g4c_triples):
     """Table 4's '-' rows: no RDF types, dataset reads, or library graph."""
-    aspects = set(g4c_triples["aspect"])
+    aspects = set(g4c_triples["p"].map(aspect_of))
     assert "rdf_node_types" not in aspects
     assert "dataset_reads" not in aspects
     assert "library_hierarchy" not in aspects
 
 
 def test_kglids_captures_what_g4c_misses(kglids_triples):
-    aspects = set(kglids_triples["aspect"])
+    aspects = set(kglids_triples["p"].map(aspect_of))
     assert "rdf_node_types" in aspects
     assert "dataset_reads" in aspects
 
 
 def test_parameter_order_is_a_large_share(g4c_triples):
-    share = (g4c_triples["aspect"] == "func_parameter_order").mean()
+    share = (g4c_triples["p"].map(aspect_of) == "func_parameter_order").mean()
     assert share > 0.05  # ~26% in the paper's Table 4
 
 

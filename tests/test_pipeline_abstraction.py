@@ -115,7 +115,7 @@ def test_triples_have_expected_aspects(stmts):
     pdf = statements_to_triples("p1", stmts, {"author": "a", "votes": 1,
                                               "score": 0.5, "task": "clf",
                                               "dataset": "titanic"})
-    aspects = set(pdf["aspect"])
+    aspects = set(pdf["p"].map(O.aspect_of))
     for a in ("code_flow", "data_flow", "control_flow_type", "statement_text",
               "library_calls", "func_parameters", "column_reads",
               "dataset_reads", "rdf_node_types"):
@@ -231,9 +231,9 @@ def test_every_statement_kind():
         ("from sklearn.preprocessing import StandardScaler", "import", None),
         ("import os.path", "import", None),
         ("from . import helpers", "import", None),
-        ("path = os.path.join('kinds', 'train.csv')", "module", "os.path.path.join"),
+        ("path = os.path.join('kinds', 'train.csv')", "module", "os.path.join"),
         ("df = pd.read_csv('kinds/train.csv')", "module", "pandas.read_csv"),
-        ("extra = helpers.load(path)", "module", "None.helpers.load"),
+        ("extra = helpers.load(path)", "module", "helpers.load"),
         ("X, y = (df.drop('target', axis=1), df['target'])", "module",
          "pandas.DataFrame.drop"),
         ("pair = df[['a', 'b']]", "module", None),
@@ -261,8 +261,8 @@ def test_every_statement_kind():
 
 def test_alg1_output_is_pinned():
     """Alg. 1's named graphs for 300 corpus scripts plus ``KINDS``, as
-    the sha256 of their sorted quads. A change here changes the Table 3
-    and Table 4 graphs."""
+    the sha256 of their sorted (g, s, p, o, w) quads. A change here
+    changes the Table 3 and Table 4 graphs."""
     _, scripts = make_corpus(n_datasets=30, pipelines_per_dataset=10, rows=50, seed=7)
     frames = [
         statements_to_triples(r.pipeline_id, analyze_script(r.script), r._asdict())
@@ -274,5 +274,5 @@ def test_alg1_output_is_pinned():
     )
     assert len(quads) == 49383
     assert hashlib.sha256("\n".join(quads).encode()).hexdigest() == (
-        "6194c6c8bea565a7b01966f589965a59929279ccbbd6767e1bc3e7f4080022e0"
+        "afdaf14db3e13b086d2ba4f5fc3aa3d5b890c2d54541343d0ba42bf3e2618912"
     )

@@ -128,11 +128,46 @@ def test_bgp_matches_duckdb_oracle(spark, store):
     assert_equivalent(got, sql, triples=triples_pdf)
 
 
-def test_aspect_breakdown_matches_oracle(store):
-    pdf = store.aspect_breakdown()
-    assert pdf["pct"].sum() == pytest.approx(100.0)
-    sql = "SELECT aspect, COUNT(*) AS n_triples FROM triples GROUP BY aspect"
-    assert_equivalent(pdf[["aspect", "n_triples"]], sql, triples=store.df.toPandas())
+@pytest.fixture(scope="module")
+def mixed_store(spark):
+    """Three aspects, two of them tied, and a predicate that models no
+    registered aspect."""
+    tb = TripleBuilder()
+    for i in range(2):
+        tb.add(f"s{i}", O.READS_TABLE, "t")
+        tb.add(f"s{i}", O.READS_COLUMN, "c")
+    for i in range(3):
+        tb.add(f"s{i}", O.HAS_TEXT, "x")
+    tb.add("s0", "urn:unregistered", "x")
+    return TripleStore.from_pandas(spark, tb.to_pandas())
+
+
+def test_aspect_breakdown_matches_oracle(store, mixed_store):
+    """Counts per aspect equal a DuckDB join of the triples with the
+    ontology's (predicate, aspect) table, unmatched predicates as
+    ``other``."""
+    aspects = pd.DataFrame(
+        list(O.ASPECT_OF_PREDICATE.items()), columns=["p", "aspect"]
+    )
+    sql = """
+        SELECT COALESCE(a.aspect, 'other') AS aspect, COUNT(*) AS n_triples
+        FROM triples t LEFT JOIN aspects a ON t.p = a.p
+        GROUP BY COALESCE(a.aspect, 'other')
+    """
+    for s in (store, mixed_store):
+        pdf = s.aspect_breakdown()
+        assert pdf["pct"].sum() == pytest.approx(100.0)
+        assert_equivalent(
+            pdf[["aspect", "n_triples"]], sql, triples=s.df.toPandas(), aspects=aspects
+        )
+
+
+def test_aspect_breakdown_breaks_ties_by_name(mixed_store):
+    pdf = mixed_store.aspect_breakdown()
+    assert list(pdf["aspect"]) == [
+        "statement_text", "column_reads", "dataset_reads", "other"
+    ]
+    assert list(pdf["n_triples"]) == [3, 2, 2, 1]
 
 
 def test_union_and_empty(spark, store):
@@ -163,12 +198,12 @@ def _quads(draw) -> pd.DataFrame:
     weights = draw(st.lists(st.sampled_from([None, math.nan, 0.25, 0.5]),
                             min_size=len(_TRIPLES), max_size=len(_TRIPLES)))
     rows = [
-        (g, s, p, o, w, "other")
+        (g, s, p, o, w)
         for (s, p, o), w in zip(_TRIPLES, weights) if w is not None
         for g in draw(st.sampled_from([["g1"], ["g2"], ["g1", "g2"]]))
     ]
     assume(rows)
-    return pd.DataFrame(rows, columns=["g", "s", "p", "o", "w", "aspect"])
+    return pd.DataFrame(rows, columns=["g", "s", "p", "o", "w"])
 
 
 def _binds_a_variable_twice(pattern) -> bool:

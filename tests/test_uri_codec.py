@@ -14,6 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.automation.transformation import mine_column_transform_labels
+from repro.baselines import graphgen4code_like as g4c
 from repro.core import ontology as O
 from repro.core import profiler
 from repro.core.graph_linker import dropped_predictions, link
@@ -22,6 +23,7 @@ from repro.core.schema_builder import build_dataset_graph
 from repro.discovery import union_search as us
 from repro.interfaces import api
 from repro.lakegen.lake import Lake, LakeConfig, build_lake
+from repro.pipelines_corpus.generator import make_corpus
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -44,6 +46,28 @@ def test_uri_format_lives_in_ontology():
         ("core/pipeline_abstraction.py",
          'parts = path.removesuffix(".csv").split("/")')
     ]
+
+
+def test_aspects_live_in_ontology():
+    """Only the ontology mints property URIs, each with its Table 4
+    aspect; no other module names an aspect of its own."""
+    minted = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel != "core/ontology.py":
+            text = path.read_text()
+            minted += [(rel, m) for m in re.findall(r".*(?:\bonto\(|aspect=).*", text)]
+    assert minted == []
+
+
+def test_every_emitted_predicate_has_an_aspect(spark):
+    """Neither system's graph has a predicate left out of the Table 4
+    breakdown (``aspect_of`` gives ``other``)."""
+    _, scripts = make_corpus(n_datasets=3, pipelines_per_dataset=2, with_tables=False, seed=3)
+    scripts_df = spark.createDataFrame(scripts[SCRIPTS_COLUMNS])
+    for abstract in (abstract_corpus, g4c.abstract_corpus):
+        aspects = set(abstract(spark, scripts_df).aspect_breakdown()["aspect"])
+        assert "other" not in aspects, abstract.__module__
 
 
 @given(_PARTS)
