@@ -24,7 +24,7 @@ def test_table1_profiler_statistics(spark, benchmark):
     def run():
         for name in CONFIGS:
             lake = build_benchmark(name)
-            profiles = profiler.profile_tables(spark, lake.tables, name).cache()
+            profiles = profiler.profile_tables(spark, {name: lake.tables}).cache()
             breakdown = profiler.type_breakdown(profiles).set_index("fgt")["count"]
             paper = PAPER_TABLE1[name]
             rows.append(

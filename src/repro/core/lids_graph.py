@@ -1,10 +1,10 @@
 """LiDS graph assembly (§3.3): dataset ∪ library ∪ pipeline graphs.
 
-The end-to-end KG Governor path: profile the datasets (Algorithm 2),
-build the Data Global Schema (Algorithm 3), abstract the pipeline
-scripts into named graphs (Algorithm 1), link predicted dataset-usage
-nodes against the dataset graph, and union everything into the single
-Web-publishable LiDS graph.
+The end-to-end KG Governor path: profile every dataset's columns in
+one pass (Algorithm 2), build one Data Global Schema over them all
+(Algorithm 3), abstract the pipeline scripts into named graphs
+(Algorithm 1), link predicted dataset-usage nodes against the dataset
+graph, and union everything into the single Web-publishable LiDS graph.
 """
 from __future__ import annotations
 
@@ -31,15 +31,9 @@ def build_lids_graph(
     Pipeline graphs are verified by the Graph Linker before the union,
     so dangling Predicted Dataset Usage nodes never reach the KG.
     """
-    dataset_store: TripleStore | None = None
-    for dataset, tables in tables_by_dataset.items():
-        profiles = profile_tables(spark, tables, dataset)
-        part = build_dataset_graph(spark, profiles, thresholds)
-        dataset_store = part if dataset_store is None else dataset_store.union(part)
-    if dataset_store is None:
-        dataset_store = TripleStore.empty(spark)
+    profiles = profile_tables(spark, tables_by_dataset)
+    dataset_store = build_dataset_graph(spark, profiles, thresholds)
     if scripts is None:
         return dataset_store
-    pipeline_store = abstract_corpus(spark, scripts)
-    linked = graph_linker.link(pipeline_store, dataset_store)
+    linked = graph_linker.link(abstract_corpus(spark, scripts), dataset_store)
     return dataset_store.union(linked)

@@ -74,7 +74,14 @@ def profile_column(
 def columns_dataframe(
     spark: SparkSession, tables: dict[str, pd.DataFrame], dataset: str
 ) -> DataFrame:
-    """Explode ``tables`` into the long per-column DataFrame.
+    """One dataset's ``tables`` as the long per-column DataFrame."""
+    return _columns_frame(spark, {dataset: tables})
+
+
+def _columns_frame(
+    spark: SparkSession, tables_by_dataset: dict[str, dict[str, pd.DataFrame]]
+) -> DataFrame:
+    """Explode every dataset's tables into one long per-column DataFrame.
 
     The value sample (Algorithm 2's ``col.sample(max(0.1|col|, 1000))``)
     is taken here so executors never see full columns — the profiler's
@@ -82,21 +89,20 @@ def columns_dataframe(
     pickled, so workers profile it in the column's own dtype. Full-column
     statistics (null/distinct counts) are computed before sampling.
     """
-    rows = []
-    for tname, pdf in tables.items():
-        for cname in pdf.columns:
-            s = pdf[cname]
-            rows.append(
-                {
-                    "dataset": dataset,
-                    "table": tname,
-                    "column": str(cname),
-                    "sample": pickle.dumps(colr.sample_values(s)),
-                    "n_rows": int(len(s)),
-                    "n_nulls": int(s.isna().sum()),
-                    "n_distinct": int(s.nunique()),
-                }
-            )
+    rows = [
+        {
+            "dataset": dataset,
+            "table": tname,
+            "column": str(cname),
+            "sample": pickle.dumps(colr.sample_values(s)),
+            "n_rows": int(len(s)),
+            "n_nulls": int(s.isna().sum()),
+            "n_distinct": int(s.nunique()),
+        }
+        for dataset, tables in tables_by_dataset.items()
+        for tname, pdf in tables.items()
+        for cname, s in pdf.items()
+    ]
     n_part = max(8, min(64, len(rows) // 32 or 1))
     return spark.createDataFrame(rows, COLUMNS_SCHEMA).repartition(n_part)
 
@@ -133,10 +139,10 @@ def profile_columns(columns_df: DataFrame) -> DataFrame:
 
 
 def profile_tables(
-    spark: SparkSession, tables: dict[str, pd.DataFrame], dataset: str
+    spark: SparkSession, tables_by_dataset: dict[str, dict[str, pd.DataFrame]]
 ) -> DataFrame:
-    """Convenience: explode + profile in one call."""
-    return profile_columns(columns_dataframe(spark, tables, dataset))
+    """Algorithm 2 over ``{dataset: {table: frame}}`` in one columns frame."""
+    return profile_columns(_columns_frame(spark, tables_by_dataset))
 
 
 def type_breakdown(profiles: DataFrame) -> pd.DataFrame:

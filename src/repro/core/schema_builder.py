@@ -5,8 +5,8 @@ Builds the dataset graph from column profiles:
 1. a metadata subgraph (dataset/table/column hierarchy + statistics),
    Alg. 3 lines 2-5;
 2. similarity edges between column pairs *of the same fine-grained type
-   in different tables* (lines 6-19): label similarity from word
-   embeddings (threshold α), content similarity from CoLR embeddings
+   in different (dataset, table)s* (lines 6-19): label similarity from
+   word embeddings (threshold α), content similarity from CoLR embeddings
    (threshold θ) — except booleans, compared on true-ratio (threshold β).
 
 The profile rows (one per column, Alg. 2's output) are collected to the
@@ -86,15 +86,14 @@ def _normalize(mat: np.ndarray) -> np.ndarray:
 
 
 def _similarity_side(pdf: pd.DataFrame) -> dict[str, dict]:
-    """Per fine-grained type, the column URIs, tables and unit-normalized
-    embedding matrices, in the order of the collected rows."""
+    """Per fine-grained type, the column and (dataset, table) URIs and the
+    unit-normalized embedding matrices, in the order of the collected rows."""
     side: dict[str, dict] = {}
     for fgt, grp in pdf.groupby("fgt"):
+        rows = list(grp.itertuples(index=False))
         side[fgt] = {
-            "ids": np.array(
-                [O.res(r.dataset, r.table, r.column) for r in grp.itertuples(index=False)]
-            ),
-            "tables": grp["table"].to_numpy(),
+            "ids": np.array([O.res(r.dataset, r.table, r.column) for r in rows]),
+            "tables": np.array([O.res(r.dataset, r.table) for r in rows]),
             "content": _normalize(np.stack(grp["embedding"].to_numpy())),
             "label": _normalize(np.stack(grp["label_embedding"].to_numpy())),
             "true_ratio": grp["true_ratio"].fillna(0.5).to_numpy(dtype="float64"),

@@ -149,7 +149,7 @@ def lake():
 
 @pytest.fixture(scope="module")
 def profiles(spark, lake):
-    p = profile_tables(spark, lake.tables, lake.name).persist()
+    p = profile_tables(spark, {lake.name: lake.tables}).persist()
     yield p
     p.unpersist()
 
@@ -177,7 +177,7 @@ def test_dataset_graph_equals_reference(spark, profiles, thresholds):
 
 def test_build_index_equals_reference(spark, lake):
     got = us.build_index(spark, lake)
-    profiles = profile_tables(spark, lake.tables, lake.name)
+    profiles = profile_tables(spark, {lake.name: lake.tables})
     want = us.index_from_graph(reference_dataset_graph(spark, profiles), lake)
     cols = ["table_a", "col_a", "table_b", "col_b", "pred", "w"]
 
@@ -198,9 +198,7 @@ def test_lids_graph_fixture_unchanged(spark):
         )[SCRIPTS_COLUMNS]
     )
     got = build_lids_graph(spark, tables, scripts)
-    dataset_store = reference_dataset_graph(
-        spark, profile_tables(spark, tables["titanic"], "titanic")
-    )
+    dataset_store = reference_dataset_graph(spark, profile_tables(spark, tables))
     linked = graph_linker.link(abstract_corpus(spark, scripts), dataset_store)
     assert _multiset(got.df) == _multiset(dataset_store.union(linked).df)
 
@@ -213,7 +211,7 @@ def _optimized_plan(df: DataFrame) -> str:
 
 
 def test_dataset_graph_plan_does_not_profile(spark, lake):
-    profiles = profile_tables(spark, lake.tables, lake.name)
+    profiles = profile_tables(spark, {lake.name: lake.tables})
     assert "_profile_partition" in _optimized_plan(profiles)
     graph = build_dataset_graph(spark, profiles)
     assert "_profile_partition" not in _optimized_plan(graph.df)

@@ -26,7 +26,7 @@ def stores(spark):
             {"Age": [20, 30, 40], "Sex": ["M", "F", "M"], "Survived": [1, 0, 1]}
         )
     }
-    profiles = profiler.profile_tables(spark, tables, "titanic")
+    profiles = profiler.profile_tables(spark, {"titanic": tables})
     dataset_store = TripleStore(spark, build_metadata_subgraph(profiles)).persist()
     pdf = statements_to_triples("p1", analyze_script(SCRIPT), {"dataset": "titanic"})
     pipeline_store = TripleStore.from_pandas(spark, pdf).persist()

@@ -24,7 +24,7 @@ def lake():
 
 @pytest.fixture(scope="module")
 def dataset_graph(spark, lake):
-    profiles = profiler.profile_tables(spark, lake.tables, lake.name)
+    profiles = profiler.profile_tables(spark, {lake.name: lake.tables})
     return build_dataset_graph(spark, profiles).persist()
 
 

@@ -181,7 +181,7 @@ def test_spark_profiles_equal_driver_profile_column(spark, mixed_tables):
     sample. Embeddings may differ in the last bit only: PySpark runs its
     workers' BLAS on one thread, and a threaded matmul rounds the rows at
     its thread boundaries differently."""
-    got = _by_column(profile_tables(spark, mixed_tables, "mixed"))
+    got = _by_column(profile_tables(spark, {"mixed": mixed_tables}))
     assert len(got) == sum(len(t.columns) for t in mixed_tables.values())
     for tname, pdf in mixed_tables.items():
         embeddings = column_embeddings(pdf)
@@ -204,7 +204,7 @@ def test_spark_profiles_equal_driver_profile_column(spark, mixed_tables):
 def test_spark_profiles_equal_string_round_trip(spark):
     lake = build_lake(LAKE)
     assert max(len(t) for t in lake.tables.values()) <= 1000
-    got = _by_column(profile_tables(spark, lake.tables, lake.name))
+    got = _by_column(profile_tables(spark, {lake.name: lake.tables}))
     ref = _ref_columns_dataframe(spark, lake.tables, lake.name).mapInPandas(
         _ref_profile_partition, PROFILE_SCHEMA
     )

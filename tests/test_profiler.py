@@ -37,7 +37,7 @@ def tiny_tables():
 
 @pytest.fixture(scope="module")
 def profiles(spark, tiny_tables):
-    return profiler.profile_tables(spark, tiny_tables, "lakeA").cache()
+    return profiler.profile_tables(spark, {"lakeA": tiny_tables}).cache()
 
 
 def test_one_profile_per_column(profiles, tiny_tables):

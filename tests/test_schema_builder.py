@@ -48,7 +48,7 @@ def lake_tables():
 
 @pytest.fixture(scope="module")
 def profiles(spark, lake_tables):
-    return profiler.profile_tables(spark, lake_tables, "lk").cache()
+    return profiler.profile_tables(spark, {"lk": lake_tables}).cache()
 
 
 @pytest.fixture(scope="module")

@@ -218,11 +218,10 @@ def _renamed(name: str) -> str:
 
 
 def _corpus(spark, rename):
-    dataset_store = None
-    for ds, tables in _TABLES.items():
-        tables = {rename(t): df.rename(columns=rename) for t, df in tables.items()}
-        part = build_dataset_graph(spark, profiler.profile_tables(spark, tables, rename(ds)))
-        dataset_store = part if dataset_store is None else dataset_store.union(part)
+    dataset_store = build_dataset_graph(spark, profiler.profile_tables(spark, {
+        rename(ds): {rename(t): df.rename(columns=rename) for t, df in tables.items()}
+        for ds, tables in _TABLES.items()
+    }))
     scripts = pd.DataFrame(
         [{"pipeline_id": pid,
           "script": _SCRIPT.format(ds=rename(ds), tab=rename(tab), a=rename(a),
