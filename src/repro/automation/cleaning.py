@@ -44,7 +44,8 @@ _CALL_TO_OP = {
 # --------------------------------------------------------------------------
 # the five cleaning operations
 # --------------------------------------------------------------------------
-def _numeric_cols(pdf: pd.DataFrame) -> list[str]:
+def numeric_cols(pdf: pd.DataFrame) -> list[str]:
+    """The columns of ``pdf`` that the imputers and scalers change."""
     return [c for c in pdf.columns if pd.api.types.is_numeric_dtype(pdf[c])]
 
 
@@ -57,7 +58,7 @@ def apply_fillna(pdf: pd.DataFrame) -> pd.DataFrame:
 
 def apply_interpolate(pdf: pd.DataFrame) -> pd.DataFrame:
     out = pdf.copy()
-    for c in _numeric_cols(out):
+    for c in numeric_cols(out):
         out[c] = out[c].interpolate(limit_direction="both")
     for c in out.columns:
         if not pd.api.types.is_numeric_dtype(out[c]):
@@ -81,7 +82,7 @@ def apply_simple_imputer(pdf: pd.DataFrame) -> pd.DataFrame:
 def apply_knn_imputer(pdf: pd.DataFrame, k: int = 5) -> pd.DataFrame:
     """k-nearest-neighbour imputation on standardized numeric features."""
     out = pdf.copy()
-    nums = _numeric_cols(out)
+    nums = numeric_cols(out)
     if not nums:
         return apply_simple_imputer(out)
     X = out[nums].to_numpy(dtype="float64")
@@ -111,7 +112,7 @@ def apply_knn_imputer(pdf: pd.DataFrame, k: int = 5) -> pd.DataFrame:
 def apply_iterative_imputer(pdf: pd.DataFrame, rounds: int = 5) -> pd.DataFrame:
     """Round-robin ridge regression of each column on the others."""
     out = pdf.copy()
-    nums = _numeric_cols(out)
+    nums = numeric_cols(out)
     if len(nums) < 2:
         return apply_simple_imputer(out)
     X = out[nums].to_numpy(dtype="float64")

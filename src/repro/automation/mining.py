@@ -25,11 +25,11 @@ def pipeline_calls(store: TripleStore, dataset: str | None = None) -> pd.DataFra
         [
             ("?stmt", O.CALLS, "?func"),
             ("?stmt", O.IS_PART_OF, "?pipe"),
-            ("?pipe", O.USES_DATASET, "?ds" if dataset is None else O.res(dataset)),
+            ("?pipe", O.USES_DATASET, "?ds" if dataset is None else O.data_node(dataset)),
             ("?pipe", O.HAS_VOTES, "?votes"),
         ]
     )
-    rows["dataset"] = rows["ds"].map(O.parts).str[0] if dataset is None else dataset
+    rows["dataset"] = rows["ds"].map(O.data_names).str[0] if dataset is None else dataset
     return rows
 
 

@@ -18,6 +18,7 @@ import pandas as pd
 from repro.core import ontology as O
 from repro.core.triples import TripleStore
 
+from .cleaning import numeric_cols
 from .embeddings import column_embeddings, table_embedding_1800
 from .gnn import RECOMMENDER_CONFIG, GNNConfig, LabelModel
 from .mining import pipeline_calls, vote_weighted_labels
@@ -31,10 +32,6 @@ _SCALER_CALLS = {
     "sklearn.preprocessing.RobustScaler": "RobustScaler",
 }
 _UNARY_CALLS = {O.library("numpy.log"): "log", O.library("numpy.sqrt"): "sqrt"}
-
-
-def _numeric_cols(pdf: pd.DataFrame) -> list[str]:
-    return [c for c in pdf.columns if pd.api.types.is_numeric_dtype(pdf[c])]
 
 
 def _numeric_embeddings(col_embs: dict) -> dict[str, np.ndarray]:
@@ -51,7 +48,7 @@ def _numeric_embeddings(col_embs: dict) -> dict[str, np.ndarray]:
 # --------------------------------------------------------------------------
 def apply_scaler(name: str, pdf: pd.DataFrame) -> pd.DataFrame:
     out = pdf.copy()
-    for c in _numeric_cols(out):
+    for c in numeric_cols(out):
         x = out[c].to_numpy(dtype="float64")
         if name == "StandardScaler":
             sd = np.nanstd(x)
@@ -111,9 +108,9 @@ def mine_column_transform_labels(store: TripleStore) -> pd.DataFrame:
         ]
     )
     rows = rows.assign(op=rows["func"].map(_UNARY_CALLS)).dropna(subset=["op"])
-    parts = rows["col"].map(O.parts)  # res(dataset, table, column)
-    rows["dataset"] = parts.str[0]
-    rows["column"] = parts.str[2]
+    names = rows["col"].map(O.data_names)  # (dataset, table, column)
+    rows["dataset"] = names.str[0]
+    rows["column"] = names.str[2]
     return (
         rows.groupby(["dataset", "column", "op"])
         .size()

@@ -2,7 +2,12 @@
 
 The paper's ontology (OWL 2) has 13 classes, 19 object properties and 22
 data properties under ``http://kglids.org/ontology/``; resources live
-under ``http://kglids.org/resource/``. We reproduce the vocabulary that
+under ``http://kglids.org/resource/``. Data nodes (dataset, table,
+column) live under ``dataset/`` and only this module lays them out
+(``data_node`` and its inverse ``data_names``); library nodes live under
+``library/`` (``library``); pipelines, statements and graphs start with
+a fixed word of their own (``pipeline``, ``datasetGraph``, ...), so no
+name can mint another kind's node. We reproduce the vocabulary that
 the platform's algorithms and the Table-3/4 accounting actually touch.
 Each property is registered once with the Table 4 "modelled aspect" it
 models (``predicate``); ``aspect_of`` looks it up, so triples carry no
@@ -23,7 +28,7 @@ def onto(name: str) -> str:
 
 
 def res(*parts: str) -> str:
-    """The resource URI of ``parts`` (e.g. dataset, table, column): each
+    """The resource URI of ``parts`` (e.g. ``"pipeline", pipeline_id``): each
     part percent-encoded with no safe characters, so a ``/``, ``%``,
     ``#`` or space inside a name never reads as structure, then joined
     by ``/`` under ``RESOURCE``. ``parts`` is its exact inverse, so two
@@ -42,6 +47,20 @@ def library(name: str) -> str:
     part per name segment under ``library``. The dotted name of such a
     node is ``".".join(parts(uri)[1:])``."""
     return res("library", *name.split("."))
+
+
+def data_node(*names: str) -> str:
+    """The node of a dataset ``(dataset,)``, table ``(dataset, table)``
+    or column ``(dataset, table, column)``: one part per name under
+    ``dataset``, so no data name can reach a library, pipeline or graph
+    node. ``data_names`` is its exact inverse."""
+    return res("dataset", *names)
+
+
+def data_names(uri: str) -> tuple[str, ...]:
+    """The names ``data_node`` encoded in ``uri``:
+    ``data_names(data_node(*ns)) == ns``."""
+    return parts(uri)[1:]
 
 
 # ---- Classes (13 in the paper; the ones our algorithms instantiate) ----

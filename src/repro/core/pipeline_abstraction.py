@@ -253,7 +253,7 @@ def statements_to_triples(
     if "task" in md:
         tb.add(pipe, O.HAS_TASK, str(md["task"]))
     if "dataset" in md:
-        tb.add(pipe, O.USES_DATASET, O.res(str(md["dataset"])))
+        tb.add(pipe, O.USES_DATASET, O.data_node(str(md["dataset"])))
     last_writer: dict[str, str] = {}
     prev_uri: str | None = None
     for st in statements:
@@ -279,9 +279,9 @@ def statements_to_triples(
                 tb.add(uri, O.HAS_PARAMETER, f"{name}={value}", w=0.0)
         if st.dataset_read:
             ds, tab = st.dataset_read
-            tb.add(uri, O.READS_TABLE, O.res(ds, tab), w=1.0)
+            tb.add(uri, O.READS_TABLE, O.data_node(ds, tab), w=1.0)
         for ds, tab, col in dict.fromkeys(st.column_reads):
-            tb.add(uri, O.READS_COLUMN, O.res(ds, tab, col), w=1.0)
+            tb.add(uri, O.READS_COLUMN, O.data_node(ds, tab, col), w=1.0)
     return tb.to_pandas()
 
 

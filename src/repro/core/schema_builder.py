@@ -53,10 +53,10 @@ def _metadata_triples(pdf: pd.DataFrame) -> pd.DataFrame:
     per row, table and dataset triples once per distinct table/dataset."""
     tb = TripleBuilder(graph=O.res("datasetGraph"))
     for r in pdf.itertuples(index=False):
-        col = O.res(r.dataset, r.table, r.column)
+        col = O.data_node(r.dataset, r.table, r.column)
         tb.add(col, O.RDF_TYPE, O.COLUMN)
         tb.add(col, O.RDFS_LABEL, r.column)
-        tb.add(col, O.IS_PART_OF, O.res(r.dataset, r.table))
+        tb.add(col, O.IS_PART_OF, O.data_node(r.dataset, r.table))
         tb.add(col, O.HAS_TYPE, r.fgt)
         tb.add(col, O.HAS_TOTAL_VALUES, str(r.n_rows))
         tb.add(col, O.HAS_NULL_COUNT, str(r.n_nulls))
@@ -64,12 +64,12 @@ def _metadata_triples(pdf: pd.DataFrame) -> pd.DataFrame:
         if r.fgt == FineGrainedType.BOOLEAN.value and pd.notna(r.true_ratio):
             tb.add(col, O.HAS_TRUE_RATIO, f"{r.true_ratio:.4f}")
     for r in pdf.drop_duplicates(["dataset", "table"]).itertuples(index=False):
-        tab = O.res(r.dataset, r.table)
+        tab = O.data_node(r.dataset, r.table)
         tb.add(tab, O.RDF_TYPE, O.TABLE)
         tb.add(tab, O.RDFS_LABEL, r.table)
-        tb.add(tab, O.IS_PART_OF, O.res(r.dataset))
+        tb.add(tab, O.IS_PART_OF, O.data_node(r.dataset))
     for ds in pdf["dataset"].unique():
-        tb.add(O.res(ds), O.RDF_TYPE, O.DATASET)
+        tb.add(O.data_node(ds), O.RDF_TYPE, O.DATASET)
     return tb.to_pandas()
 
 
@@ -92,8 +92,8 @@ def _similarity_side(pdf: pd.DataFrame) -> dict[str, dict]:
     for fgt, grp in pdf.groupby("fgt"):
         rows = list(grp.itertuples(index=False))
         side[fgt] = {
-            "ids": np.array([O.res(r.dataset, r.table, r.column) for r in rows]),
-            "tables": np.array([O.res(r.dataset, r.table) for r in rows]),
+            "ids": np.array([O.data_node(r.dataset, r.table, r.column) for r in rows]),
+            "tables": np.array([O.data_node(r.dataset, r.table) for r in rows]),
             "content": _normalize(np.stack(grp["embedding"].to_numpy())),
             "label": _normalize(np.stack(grp["label_embedding"].to_numpy())),
             "true_ratio": grp["true_ratio"].fillna(0.5).to_numpy(dtype="float64"),

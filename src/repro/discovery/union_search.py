@@ -106,9 +106,9 @@ def index_from_graph(graph: TripleStore, lake: Lake) -> UnionSearchIndex:
             columns=["table_a", "col_a", "table_b", "col_b", "pred", "w"]
         )
     else:
-        # column URIs are res(dataset, table, column); each is decoded once
-        parts_of = {u: O.parts(u) for u in pd.unique(pd.concat([sim["s"], sim["o"]]))}
-        s, o = sim["s"].map(parts_of), sim["o"].map(parts_of)
+        # each column node is decoded once into (dataset, table, column)
+        names = {u: O.data_names(u) for u in pd.unique(pd.concat([sim["s"], sim["o"]]))}
+        s, o = sim["s"].map(names), sim["o"].map(names)
         fwd = pd.DataFrame(
             {
                 "table_a": s.str[1],

@@ -28,12 +28,12 @@ def search_tables_based_on_specific_columns(
     cols = store.match_bgp(
         [("?col", O.RDF_TYPE, O.COLUMN), ("?col", O.RDFS_LABEL, "?label")]
     )
-    parts = cols["col"].map(O.parts)
+    names = cols["col"].map(O.data_names)
     frame = pd.DataFrame(
         {
-            "dataset": parts.str[0],
-            "table": parts.str[1],
-            "column": parts.str[2],
+            "dataset": names.str[0],
+            "table": names.str[1],
+            "column": names.str[2],
             "label": cols["label"].str.lower(),
         }
     )

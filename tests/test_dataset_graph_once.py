@@ -3,8 +3,10 @@
 The reference below is the composition ``build_dataset_graph`` had when
 it evaluated ``profiles`` once per subgraph: a ``mapInPandas`` metadata
 pass deduplicated by a shuffle, and a similarity pass driven by the
-profiles DataFrame itself. The equality tests use only the public API,
-so they hold for either composition.
+profiles DataFrame itself. Like Alg. 3, it names a table by its
+(dataset, table) node, so two datasets' ``train`` tables are compared.
+The equality tests use only the public API, so they hold for either
+composition.
 """
 from collections import Counter
 from collections.abc import Iterator
@@ -39,9 +41,9 @@ def _ref_metadata_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.Data
     for batch in batches:
         tb = TripleBuilder(graph=O.res("datasetGraph"))
         for r in batch.itertuples(index=False):
-            col = O.res(r.dataset, r.table, r.column)
-            tab = O.res(r.dataset, r.table)
-            ds = O.res(r.dataset)
+            col = O.data_node(r.dataset, r.table, r.column)
+            tab = O.data_node(r.dataset, r.table)
+            ds = O.data_node(r.dataset)
             tb.add(col, O.RDF_TYPE, O.COLUMN)
             tb.add(col, O.RDFS_LABEL, r.column)
             tb.add(col, O.IS_PART_OF, tab)
@@ -72,8 +74,8 @@ def _ref_similarity_factory(bc, thresholds):
                 other_tables = data["tables"][later]
                 if len(other_tables) == 0:
                     continue
-                diff_table = other_tables != r.table
-                my_uri = O.res(r.dataset, r.table, r.column)
+                diff_table = other_tables != O.data_node(r.dataset, r.table)
+                my_uri = O.data_node(r.dataset, r.table, r.column)
                 lab = data["label"][later] @ data["label"][me]
                 if r.fgt == FineGrainedType.BOOLEAN.value:
                     content = 1.0 - np.abs(data["true_ratio"][later] - data["true_ratio"][me])
@@ -111,9 +113,10 @@ def reference_dataset_graph(spark, profiles: DataFrame, thresholds=SimilarityThr
     for fgt, grp in pdf.groupby("fgt"):
         grp = grp.reset_index(drop=True)
         side[fgt] = {
-            "ids": np.array([O.res(r.dataset, r.table, r.column)
+            "ids": np.array([O.data_node(r.dataset, r.table, r.column)
                              for r in grp.itertuples(index=False)]),
-            "tables": grp["table"].to_numpy(),
+            "tables": np.array([O.data_node(r.dataset, r.table)
+                                for r in grp.itertuples(index=False)]),
             "content": _ref_normalize(np.stack(grp["embedding"].to_numpy())),
             "label": _ref_normalize(np.stack(grp["label_embedding"].to_numpy())),
             "true_ratio": grp["true_ratio"].fillna(0.5).to_numpy(dtype="float64"),
@@ -154,6 +157,26 @@ def profiles(spark, lake):
     p.unpersist()
 
 
+@pytest.fixture(scope="module")
+def two_datasets_profiles(spark):
+    """Two datasets that each hold a ``train`` table."""
+    g = np.random.default_rng(5)
+    n = 60
+    tables = {
+        "titanic": {"train": pd.DataFrame({
+            "Age": g.integers(18, 80, n), "Sex": g.choice(["male", "female"], n),
+            "Survived": g.random(n) < 0.4,
+        })},
+        "heart": {"train": pd.DataFrame({
+            "age": g.integers(18, 80, n), "sex": g.choice(["male", "female"], n),
+            "disease": g.random(n) < 0.45,
+        })},
+    }
+    p = profile_tables(spark, tables).persist()
+    yield p
+    p.unpersist()
+
+
 # --------------------------------------------------------------------------
 # same output
 # --------------------------------------------------------------------------
@@ -167,12 +190,15 @@ def test_lake_has_several_tables_and_booleans(profiles):
 @pytest.mark.parametrize(
     "thresholds", [SimilarityThresholds(), SimilarityThresholds(0.5, 0.8, 0.6)]
 )
-def test_dataset_graph_equals_reference(spark, profiles, thresholds):
-    got = _multiset(build_dataset_graph(spark, profiles, thresholds).df)
-    want = _multiset(reference_dataset_graph(spark, profiles, thresholds).df)
-    assert got == want
-    preds = {p for (_, _, p, _, _) in got}
-    assert {O.LABEL_SIMILARITY, O.CONTENT_SIMILARITY, O.HAS_TRUE_RATIO} <= preds
+def test_dataset_graph_equals_reference(spark, profiles, two_datasets_profiles, thresholds):
+    # each of the two datasets holds one table, so all of their
+    # similarity edges join two ``train`` tables
+    for frame in (profiles, two_datasets_profiles):
+        got = _multiset(build_dataset_graph(spark, frame, thresholds).df)
+        want = _multiset(reference_dataset_graph(spark, frame, thresholds).df)
+        assert got == want
+        preds = {p for (_, _, p, _, _) in got}
+        assert {O.LABEL_SIMILARITY, O.CONTENT_SIMILARITY, O.HAS_TRUE_RATIO} <= preds
 
 
 def test_build_index_equals_reference(spark, lake):

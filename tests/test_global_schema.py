@@ -78,7 +78,7 @@ def _reference_edges(profiles: pd.DataFrame, t: SimilarityThresholds) -> dict:
     for a, b in itertools.combinations(rows, 2):
         if a["fgt"] != b["fgt"] or (a["dataset"], a["table"]) == (b["dataset"], b["table"]):
             continue
-        pair = frozenset(O.res(r["dataset"], r["table"], r["column"]) for r in (a, b))
+        pair = frozenset(O.data_node(r["dataset"], r["table"], r["column"]) for r in (a, b))
         label = float(_unit(a["label_embedding"]) @ _unit(b["label_embedding"]))
         if a["fgt"] == FineGrainedType.BOOLEAN.value:
             content = 1.0 - abs(a["true_ratio"] - b["true_ratio"])
@@ -108,14 +108,14 @@ def test_similarity_edges_equal_all_pairs_reference(spark, tables, thresholds):
         assert got[key] == pytest.approx(w, rel=0, abs=1e-12), key
 
     def table_of(uri):
-        return O.parts(uri)[:2]
+        return O.data_names(uri)[:2]
 
     pairs = [tuple(sorted(map(table_of, pair))) for _, pair in want]
     assert (("heart", "train"), ("titanic", "train")) in pairs
     assert (("census", "households"), ("census", "people")) in pairs
     assert any(a[0] != b[0] for a, b in pairs)
     booleans = {
-        O.res(r.dataset, r.table, r.column)
+        O.data_node(r.dataset, r.table, r.column)
         for r in profiles.itertuples() if r.fgt == FineGrainedType.BOOLEAN.value
     }
     assert any(p == O.CONTENT_SIMILARITY and pair <= booleans for p, pair in want)

@@ -37,8 +37,8 @@ def test_existing_columns_survive(stores):
     pipeline_store, dataset_store = stores
     linked = link(pipeline_store, dataset_store)
     kept = {r["o"] for r in linked.df.filter(linked.df.p == O.READS_COLUMN).collect()}
-    assert O.res("titanic", "train", "Age") in kept
-    assert O.res("titanic", "train", "Sex") in kept
+    assert O.data_node("titanic", "train", "Age") in kept
+    assert O.data_node("titanic", "train", "Sex") in kept
 
 
 def test_user_defined_column_removed(stores):
@@ -46,15 +46,15 @@ def test_user_defined_column_removed(stores):
     pipeline_store, dataset_store = stores
     linked = link(pipeline_store, dataset_store)
     kept = {r["o"] for r in linked.df.filter(linked.df.p == O.READS_COLUMN).collect()}
-    assert O.res("titanic", "train", "NormalizedAge") not in kept
+    assert O.data_node("titanic", "train", "NormalizedAge") not in kept
 
 
 def test_nonexistent_table_removed(stores):
     pipeline_store, dataset_store = stores
     linked = link(pipeline_store, dataset_store)
     kept = {r["o"] for r in linked.df.filter(linked.df.p == O.READS_TABLE).collect()}
-    assert O.res("titanic", "train") in kept
-    assert O.res("ghost", "ghost") not in kept
+    assert O.data_node("titanic", "train") in kept
+    assert O.data_node("ghost", "ghost") not in kept
 
 
 def test_non_prediction_triples_untouched(stores):
@@ -72,5 +72,5 @@ def test_non_prediction_triples_untouched(stores):
 def test_dropped_predictions_reported(stores):
     pipeline_store, dataset_store = stores
     dropped = {r["o"] for r in dropped_predictions(pipeline_store, dataset_store).collect()}
-    assert O.res("titanic", "train", "NormalizedAge") in dropped
-    assert O.res("ghost", "ghost") in dropped
+    assert O.data_node("titanic", "train", "NormalizedAge") in dropped
+    assert O.data_node("ghost", "ghost") in dropped

@@ -59,13 +59,13 @@ def test_search_tables_conjunctive_and_disjunctive(dataset_graph, lake):
 def test_search_tables_matches_column_labels_only(spark):
     """A keyword found only in a table's (or dataset's) name matches nothing."""
     tb = TripleBuilder()
-    ds, tab = O.res("cardio"), O.res("cardio", "heartstudy")
+    ds, tab = O.data_node("cardio"), O.data_node("cardio", "heartstudy")
     tb.add(ds, O.RDF_TYPE, O.DATASET)
     tb.add(tab, O.RDF_TYPE, O.TABLE)
     tb.add(tab, O.RDFS_LABEL, "heartstudy")
     tb.add(tab, O.IS_PART_OF, ds)
     for column in ("age", "sex"):
-        col = O.res("cardio", "heartstudy", column)
+        col = O.data_node("cardio", "heartstudy", column)
         tb.add(col, O.RDF_TYPE, O.COLUMN)
         tb.add(col, O.RDFS_LABEL, column)
         tb.add(col, O.IS_PART_OF, tab)

@@ -39,8 +39,8 @@ def test_contains_all_three_subgraphs(lids):
 
 def test_linker_applied_before_union(lids):
     reads = set(lids.match_bgp([("?stmt", O.READS_COLUMN, "?col")])["col"])
-    assert O.res("titanic", "train", "Age") in reads
-    assert O.res("titanic", "train", "Ghost") not in reads
+    assert O.data_node("titanic", "train", "Age") in reads
+    assert O.data_node("titanic", "train", "Ghost") not in reads
 
 
 def test_dataset_only_graph(spark):

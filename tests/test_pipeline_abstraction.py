@@ -274,5 +274,5 @@ def test_alg1_output_is_pinned():
     )
     assert len(quads) == 49383
     assert hashlib.sha256("\n".join(quads).encode()).hexdigest() == (
-        "afdaf14db3e13b086d2ba4f5fc3aa3d5b890c2d54541343d0ba42bf3e2618912"
+        "2c19ca765017f3bf5e9855f810ae849ee20bc8748b4d4a4e48cbfebf554679a7"
     )

@@ -18,6 +18,7 @@ from repro.baselines import graphgen4code_like as g4c
 from repro.core import ontology as O
 from repro.core import profiler
 from repro.core.graph_linker import dropped_predictions, link
+from repro.core.lids_graph import build_lids_graph
 from repro.core.pipeline_abstraction import SCRIPTS_COLUMNS, abstract_corpus
 from repro.core.schema_builder import build_dataset_graph
 from repro.discovery import union_search as us
@@ -32,8 +33,10 @@ _PARTS = st.lists(st.text(), min_size=1, max_size=4)
 
 def test_uri_format_lives_in_ontology():
     """Only the codec knows the resource namespace and its separator;
-    the one other slash split parses a script's file path."""
-    resource, splits = set(), []
+    the one other slash split parses a script's file path. Only the
+    ontology lays out data nodes: elsewhere ``O.res`` starts with a
+    fixed word, and ``O.parts`` reads only library and pipeline tails."""
+    resource, splits, minted, decoded = set(), [], [], []
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
         text = path.read_text()
@@ -41,10 +44,21 @@ def test_uri_format_lives_in_ontology():
             resource.add(rel)
         if rel != "core/ontology.py":
             splits += [(rel, m) for m in re.findall(r".*\.r?split\(\s*[\"']/.*", text)]
+            minted += [(rel, m) for m in re.findall(r".*\bO\.res\((?!\s*[\"']).*", text)]
+            decoded += [(rel, m) for m in re.findall(r".*\bO\.parts\b.*", text)]
     assert resource == {"core/ontology.py"}
     assert [(rel, line.strip()) for rel, line in splits] == [
         ("core/pipeline_abstraction.py",
          'parts = path.removesuffix(".csv").split("/")')
+    ]
+    assert minted == []
+    assert [(rel, line.strip()) for rel, line in decoded] == [
+        ("automation/automl.py",
+         'rows["classifier"] = rows["func"].map(O.parts).str[-1]'),
+        ("core/pipeline_abstraction.py",
+         'used = {".".join(O.parts(r["o"])[1:]) for r in call_rows}'),
+        ("interfaces/api.py", 'calls["library"] = calls["lib"].map(O.parts).str[-1]'),
+        ("interfaces/api.py", 'rows["pipeline"] = rows["pipe"].map(O.parts).str[-1]'),
     ]
 
 
@@ -95,6 +109,45 @@ def test_library_nodes_round_trip():
     name = "sklearn.preprocessing.StandardScaler"
     assert O.library(name) == O.res("library", "sklearn", "preprocessing", "StandardScaler")
     assert ".".join(O.parts(O.library(name))[1:]) == name
+
+
+# the fixed first segments of every node and graph that is not a data node
+_OTHER_SEGMENTS = ["pipeline", "library", "datasetGraph", "pipelineGraph",
+                   "libraryGraph", "g4c", "g4cGraph"]
+
+
+@given(st.lists(st.text(), min_size=1, max_size=3), st.lists(st.text(), max_size=3))
+@example(["library", "numpy"], ["numpy"])
+@example(["pipeline", "kgds_0000_p000"], ["kgds_0000_p000"])
+@example(["pipeline", "kgds_0000_p000", "s0"], ["kgds_0000_p000", "s0"])
+@example(["datasetGraph"], [])
+def test_data_names_invert_data_node_and_stay_apart(names, other):
+    node = O.data_node(*names)
+    assert O.data_names(node) == tuple(names)
+    assert node != O.library(".".join(other))
+    assert all(node != O.res(segment, *other) for segment in _OTHER_SEGMENTS)
+
+
+def test_data_names_cannot_mint_library_or_pipeline_nodes(spark):
+    """A dataset ``library`` with a table ``numpy`` and a dataset
+    ``pipeline`` with a table named after a pipeline, in one LiDS graph
+    with that pipeline calling numpy: no node is both a table and a
+    library or pipeline."""
+    _, scripts = make_corpus(n_datasets=1, pipelines_per_dataset=1, with_tables=False, seed=3)
+    scripts["script"] += "\ndf['f0'] = np.log(df['f0'])\n"
+    pid = scripts["pipeline_id"].iloc[0]
+    frame = pd.DataFrame({"x": [1.0, 2.0, 3.0]})
+    lids = build_lids_graph(
+        spark, {"library": {"numpy": frame}, "pipeline": {pid: frame}},
+        spark.createDataFrame(scripts[SCRIPTS_COLUMNS]),
+    )
+    typed = lids.df.filter(lids.df.p == O.RDF_TYPE).select("s", "o").toPandas()
+    types = typed.groupby("s")["o"].agg(set)
+    assert O.LIBRARY in types[O.library("numpy")]
+    assert O.PIPELINE in types[O.res("pipeline", pid)]
+    tables = types[types.map(lambda ts: O.TABLE in ts)]
+    assert len(tables) == 2
+    assert not any(ts & {O.LIBRARY, O.PIPELINE, O.FUNCTION} for ts in tables)
 
 
 # --------------------------------------------------------------------------
@@ -233,8 +286,8 @@ def _corpus(spark, rename):
     linked = link(pipeline_store, dataset_store)
     reads = linked.df.filter(linked.df.p.isin([O.READS_TABLE, O.READS_COLUMN]))
     return {
-        "kept": {O.parts(r["o"]) for r in reads.collect()},
-        "dropped": {O.parts(r["o"])
+        "kept": {O.data_names(r["o"]) for r in reads.collect()},
+        "dropped": {O.data_names(r["o"])
                     for r in dropped_predictions(pipeline_store, dataset_store).collect()},
         "lids": dataset_store.union(linked),
     }
