@@ -5,13 +5,15 @@ Builds the four lite-scale lakes and runs the Spark data profiler
 (size, tables, query tables, rows/table, and the fine-grained column
 type breakdown produced by our profiler), next to the paper's values.
 """
+import re
+
 import pandas as pd
 import pytest
 
 from repro.core import profiler
 from repro.lakegen.benchmarks import CONFIGS, PAPER_TABLE1, build_benchmark
 
-from _report import report
+from _report import RESULTS_DIR, report
 
 _TYPES = ["int", "float", "boolean", "date", "named_entity",
           "natural_language", "string"]
@@ -19,6 +21,8 @@ _TYPES = ["int", "float", "boolean", "date", "named_entity",
 
 @pytest.mark.benchmark(group="table1")
 def test_table1_profiler_statistics(spark, benchmark):
+    # the committed counts, read before ``report`` rewrites the file
+    committed = _type_counts((RESULTS_DIR / "table1.md").read_text())
     rows = []
 
     def run():
@@ -56,3 +60,14 @@ def test_table1_profiler_statistics(spark, benchmark):
         nl = int(lake_row["natural_language(paper)"].split(" ")[0])
         total = int(lake_row["total_cols(paper)"].split(" ")[0])
         assert nl > 0.2 * total
+    # the profiler's per-type column counts are the committed ones
+    assert _type_counts(out.to_string(index=False)) == committed
+
+
+def _type_counts(table: str) -> dict[str, list[int]]:
+    """Lake name → measured per-type counts, the last ``len(_TYPES)``
+    "measured (paper)" cells of each row of the Table 1 text."""
+    return {
+        line.split()[0]: [int(n) for n in re.findall(r"(\d+) \(", line)[-len(_TYPES):]]
+        for line in table.splitlines()[1:]
+    }

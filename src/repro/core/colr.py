@@ -16,6 +16,9 @@ KGLiDS depends on:
 Embeddings are centered by the expected embedding of a broad reference
 population per type, so cosine similarity is discriminative rather than
 dominated by a shared bias direction.
+
+A numeric sample is read as numbers directly; string features come from
+one ``word_embeddings.trigram_vectors`` batch per sample.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ import numpy as np
 import pandas as pd
 
 from .types import EMBEDDING_DIM, FineGrainedType
-from .word_embeddings import trigram_vector
+from .word_embeddings import trigram_vectors
 
 _HIDDEN = 128
 _NGRAM_DIM = 64
@@ -89,13 +92,12 @@ def _bool_features(values: np.ndarray) -> np.ndarray:
 
 
 def _string_features(values: np.ndarray) -> np.ndarray:
-    rows = np.zeros((len(values), _NGRAM_DIM + 3))
-    for i, raw in enumerate(values):
-        s = str(raw).lower()
-        rows[i, :_NGRAM_DIM] = trigram_vector(s[:64], _NGRAM_DIM)
-        rows[i, _NGRAM_DIM] = min(len(s), 60) / 60.0
-        rows[i, _NGRAM_DIM + 1] = min(len(s.split()), 20) / 20.0
-        rows[i, _NGRAM_DIM + 2] = sum(c.isdigit() for c in s) / max(1, len(s))
+    texts = [str(v).lower() for v in values]
+    rows = np.empty((len(texts), _NGRAM_DIM + 3))
+    rows[:, :_NGRAM_DIM] = trigram_vectors([s[:64] for s in texts], _NGRAM_DIM)
+    rows[:, _NGRAM_DIM] = [min(len(s), 60) / 60.0 for s in texts]
+    rows[:, _NGRAM_DIM + 1] = [min(len(s.split()), 20) / 20.0 for s in texts]
+    rows[:, _NGRAM_DIM + 2] = [sum(c.isdigit() for c in s) / max(1, len(s)) for s in texts]
     return rows
 
 
@@ -157,24 +159,29 @@ def sample_values(values: pd.Series | np.ndarray | list) -> pd.Series:
     return s.reset_index(drop=True)
 
 
+def _is_number_series(values) -> bool:
+    return (
+        isinstance(values, pd.Series)
+        and pd.api.types.is_numeric_dtype(values.dtype)
+        and not pd.api.types.is_bool_dtype(values.dtype)
+    )
+
+
 def embed_sample(values: pd.Series | np.ndarray | list, fgt: FineGrainedType) -> np.ndarray:
     """Average CoLR embedding over an already-drawn sample of non-null
-    values (Alg. 2 l. 9-10)."""
-    values = np.asarray(values, dtype=object)
-    if values.size == 0:
-        return np.zeros(EMBEDDING_DIM)
+    values (Alg. 2 l. 9-10). A numeric sample is read as it is; any
+    other goes through an object array."""
     featurize, _ = _FEATURIZERS[fgt]
     if fgt in (FineGrainedType.INT, FineGrainedType.FLOAT):
-        values = pd.to_numeric(pd.Series(values), errors="coerce").to_numpy()
+        if not _is_number_series(values):
+            values = pd.Series(np.asarray(values, dtype=object))
+        values = pd.to_numeric(values, errors="coerce").to_numpy()
         values = values[np.isfinite(values)]
-        if values.size == 0:
-            return np.zeros(EMBEDDING_DIM)
+    else:
+        values = np.asarray(values, dtype=object)
+    if values.size == 0:
+        return np.zeros(EMBEDDING_DIM)
     feats = featurize(values)
     if feats.shape[0] == 0:
         return np.zeros(EMBEDDING_DIM)
     return _forward(feats, fgt).mean(axis=0) - _CENTERS[fgt]
-
-
-def embed_values(values: pd.Series | np.ndarray | list, fgt: FineGrainedType) -> np.ndarray:
-    """Average CoLR embedding over a sample of ``values`` (Alg. 2 l. 8-10)."""
-    return embed_sample(sample_values(values), fgt)

@@ -7,9 +7,11 @@ closest synthetic equivalent: gazetteer lookup over curated entity
 lists. The *role* in the pipeline is identical — given a sample of a
 column's values, estimate the fraction that are named entities — and so
 are the error modes (out-of-gazetteer entities are missed).
+``entity_ratio`` looks up each distinct value once.
 """
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 
 PERSONS = {
@@ -88,8 +90,11 @@ def recognize(value: str) -> str | None:
 
 
 def entity_ratio(values: Iterable[str]) -> float:
-    """Fraction of ``values`` recognized as named entities (any type)."""
-    vals = [v for v in values if v is not None and str(v).strip()]
-    if not vals:
-        return 0.0
-    return sum(1 for v in vals if recognize(v) is not None) / len(vals)
+    """Fraction of ``values`` recognized as named entities (any type).
+    Each distinct value is recognized once and weighted by its count."""
+    hits = total = 0
+    for v, n in Counter(str(v) for v in values if v is not None).items():
+        if v.strip():
+            total += n
+            hits += n * (recognize(v) is not None)
+    return hits / total if total else 0.0

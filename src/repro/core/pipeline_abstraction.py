@@ -58,8 +58,8 @@ class AbstractedStatement:
     column_reads: list[tuple[str, str, str]] = field(default_factory=list)
 
 
-# Statements whose body is walked under their own control-flow type; an
-# ``If``'s ``else`` body is walked too, a loop's is not.
+# Statements whose body and ``else`` body are walked under their own
+# control-flow type.
 _BLOCKS = {ast.For: "loop", ast.While: "loop", ast.If: "conditional",
            ast.FunctionDef: "function"}
 
@@ -218,8 +218,7 @@ class _Analyzer:
         type ``control``; the bodies of ``_BLOCKS`` under their own."""
         for node in body:
             if type(node) in _BLOCKS:
-                inner = node.body + node.orelse if isinstance(node, ast.If) else node.body
-                self.walk(inner, _BLOCKS[type(node)])
+                self.walk(node.body + getattr(node, "orelse", []), _BLOCKS[type(node)])
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 self._bind_import(node)
                 self._add_statement(node, "import")

@@ -6,8 +6,16 @@ string (fallback). Named entities are detected with the (gazetteer) NER
 model; natural-language text is detected by the existence of word
 embeddings — here, membership in ``ENGLISH_VOCAB`` — for the value's
 tokens, exactly the paper's criterion.
+
+The check reads at most 500 values, drawn at the rows
+``Series.sample(500, random_state=0)`` takes. Only object-like samples
+are turned into stripped strings, once, for the numeric, date, NER and
+natural-language checks; NER and the vocabulary lookup run once per
+distinct value.
 """
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pandas as pd
@@ -21,34 +29,65 @@ _BOOL_VOCAB = {"true", "false", "t", "f", "yes", "no", "y", "n", "0", "1",
 _MAX_SAMPLE = 500
 
 
-def _non_null_sample(values: pd.Series) -> pd.Series:
+def _prints_nonblank(dtype) -> bool:
+    """No non-null bool, number or datetime prints as a blank string."""
+    return (
+        pd.api.types.is_bool_dtype(dtype)
+        or pd.api.types.is_integer_dtype(dtype)
+        or pd.api.types.is_float_dtype(dtype)
+        or pd.api.types.is_datetime64_any_dtype(dtype)
+    )
+
+
+def _non_null_sample(values: pd.Series) -> tuple[pd.Series, pd.Series | None]:
+    """At most ``_MAX_SAMPLE`` non-null, non-blank values, drawn at the
+    positions ``Series.sample(_MAX_SAMPLE, random_state=0)`` takes, and
+    their stripped strings (None for the dtypes of ``_prints_nonblank``,
+    whose type is settled without them)."""
     s = values.dropna()
-    s = s[s.astype(str).str.strip() != ""]
+    stripped = None
+    if not _prints_nonblank(s.dtype):
+        stripped = s.astype(str).str.strip()
+        keep = (stripped != "").to_numpy()
+        s, stripped = s[keep], stripped[keep]
     if len(s) > _MAX_SAMPLE:
-        s = s.sample(_MAX_SAMPLE, random_state=0)
-    return s
+        pos = np.random.RandomState(0).choice(len(s), _MAX_SAMPLE, replace=False)
+        s = s.iloc[pos]
+        stripped = None if stripped is None else stripped.iloc[pos]
+    return s, stripped
 
 
 def _is_boolean(s: pd.Series) -> bool:
-    distinct = {str(v).strip().lower() for v in s.unique()}
-    return 0 < len(distinct) <= 2 and distinct <= _BOOL_VOCAB
+    """One or two distinct values, all in ``_BOOL_VOCAB`` once stripped
+    and lowercased. Stops at the first value outside the vocabulary or
+    at a third distinct one."""
+    distinct = set()
+    for v in s.unique():
+        norm = str(v).strip().lower()
+        if norm not in _BOOL_VOCAB:
+            return False
+        distinct.add(norm)
+        if len(distinct) > 2:
+            return False
+    return bool(distinct)
 
 
-def _nl_ratio(s: pd.Series) -> float:
-    """Fraction of tokens that have a word embedding (are in-vocab)."""
+def _nl_ratio(values: pd.Series) -> float:
+    """Fraction of tokens that have a word embedding (are in-vocab),
+    counted once per distinct value and weighted by its count."""
     hits = total = 0
-    for v in s:
+    for v, n in Counter(values).items():
         for tok in str(v).lower().split():
             tok = tok.strip(".,!?;:'\"()")
             if tok:
-                total += 1
-                hits += tok in ENGLISH_VOCAB
+                total += n
+                hits += n * (tok in ENGLISH_VOCAB)
     return hits / total if total else 0.0
 
 
 def infer_fine_grained_type(values: pd.Series) -> FineGrainedType:
     """Infer the fine-grained type of a column from (a sample of) values."""
-    s = _non_null_sample(values)
+    s, as_str = _non_null_sample(values)
     if s.empty:
         return FineGrainedType.STRING
     if pd.api.types.is_bool_dtype(values.dtype):
@@ -66,7 +105,6 @@ def infer_fine_grained_type(values: pd.Series) -> FineGrainedType:
         )
     if pd.api.types.is_datetime64_any_dtype(values.dtype):
         return FineGrainedType.DATE
-    as_str = s.astype(str).str.strip()
     num = pd.to_numeric(as_str, errors="coerce")
     if num.notna().mean() >= 0.95:
         v = num.dropna().to_numpy(dtype="float64")

@@ -15,15 +15,22 @@ properties the platform actually relies on:
 The module also exposes ``ENGLISH_VOCAB`` used by the natural-language
 type detector (§3.2: "natural language texts are predicted based on the
 existence of corresponding word embeddings for the tokens").
+
+``trigram_vectors`` is the one trigram hasher, for token embeddings and
+CoLR's string features: it featurizes each distinct text once and keeps
+the digests of recently seen trigrams in a bounded memo.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
+from collections.abc import Sequence
 
 import numpy as np
 
 WORD_DIM = 100
+_TRIGRAM_MEMO = 1 << 13  # distinct trigrams whose digest is kept
 
 # Concept groups: tokens in the same group get an identical "semantic"
 # half of the embedding (the WordNet-synonymy analogue).
@@ -110,17 +117,33 @@ def tokenize_label(label: str) -> list[str]:
     return _TOKEN_RE.findall(s)
 
 
-def trigram_vector(text: str, dim: int) -> np.ndarray:
-    """Hashed character-trigram vector of ``#text#``, unit norm: the
-    distributional half of a token embedding, and CoLR's string feature."""
-    padded = f"#{text}#"
-    vec = np.zeros(dim)
-    for i in range(max(1, len(padded) - 2)):
-        digest = hashlib.blake2b(padded[i : i + 3].encode(), digest_size=8).digest()
-        h = int.from_bytes(digest, "big")
-        vec[h % dim] += 1.0 if (h >> 16) % 2 else -1.0
-    n = np.linalg.norm(vec)
-    return vec / n if n > 0 else vec
+@functools.lru_cache(maxsize=_TRIGRAM_MEMO)
+def _trigram_hash(trigram: str) -> tuple[int, float]:
+    """A trigram's stable 64-bit digest and its ±1 sign, memoized."""
+    h = int.from_bytes(hashlib.blake2b(trigram.encode(), digest_size=8).digest(), "big")
+    return h, 1.0 if (h >> 16) % 2 else -1.0
+
+
+def trigram_vectors(texts: Sequence[str], dim: int) -> np.ndarray:
+    """Hashed character-trigram vectors of ``#text#``, one unit-norm row
+    per text: the distributional half of a token embedding, and CoLR's
+    string feature. Each distinct text is featurized once; every entry
+    is a sum of ±1s, so the scatter order does not change the result."""
+    row_of: dict[str, int] = {}
+    rows = [row_of.setdefault(t, len(row_of)) for t in texts]
+    owner, slot, sign = [], [], []
+    for r, text in enumerate(row_of):
+        padded = f"#{text}#"
+        for i in range(max(1, len(padded) - 2)):
+            h, s = _trigram_hash(padded[i : i + 3])
+            owner.append(r)
+            slot.append(h % dim)
+            sign.append(s)
+    vecs = np.zeros((len(row_of), dim))
+    np.add.at(vecs, (owner, slot), sign)
+    norms = np.sqrt((vecs * vecs).sum(axis=1))
+    np.divide(vecs, norms[:, None], out=vecs, where=norms[:, None] > 0)
+    return vecs[rows]
 
 
 def token_embedding(token: str) -> np.ndarray:
@@ -129,7 +152,7 @@ def token_embedding(token: str) -> np.ndarray:
     sem = np.zeros(WORD_DIM // 2)
     if token in _CONCEPT_OF:
         sem = _CONCEPT_VECS[_CONCEPT_OF[token]]
-    vec = np.concatenate([sem * 2.5, trigram_vector(token, WORD_DIM // 2)])
+    vec = np.concatenate([sem * 2.5, trigram_vectors([token], WORD_DIM // 2)[0]])
     n = np.linalg.norm(vec)
     return vec / n if n > 0 else vec
 

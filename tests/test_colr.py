@@ -30,50 +30,53 @@ def test_embedding_shape(fgt):
         vals = np.array(["true", "false"], dtype=object)
     else:
         vals = np.array(["alpha", "beta"], dtype=object)
-    emb = colr.embed_values(vals, fgt)
+    emb = colr.embed_sample(colr.sample_values(vals), fgt)
     assert emb.shape == (EMBEDDING_DIM,)
     assert np.all(np.isfinite(emb))
 
 
 def test_empty_values_zero_embedding():
-    assert np.all(colr.embed_values([], FineGrainedType.INT) == 0.0)
-    assert np.all(colr.embed_values([None, float("nan")], FineGrainedType.FLOAT) == 0.0)
+    assert np.all(colr.embed_sample(colr.sample_values([]), FineGrainedType.INT) == 0.0)
+    nulls = colr.sample_values([None, float("nan")])
+    assert np.all(colr.embed_sample(nulls, FineGrainedType.FLOAT) == 0.0)
 
 
 def test_determinism():
     vals = np.random.default_rng(1).normal(10, 2, 5000)
-    a = colr.embed_values(vals, FineGrainedType.FLOAT)
-    b = colr.embed_values(vals, FineGrainedType.FLOAT)
+    a = colr.embed_sample(colr.sample_values(vals), FineGrainedType.FLOAT)
+    b = colr.embed_sample(colr.sample_values(vals), FineGrainedType.FLOAT)
     assert np.array_equal(a, b)
 
 
 def test_same_distribution_high_similarity():
     g = np.random.default_rng(2)
-    a = colr.embed_values(g.normal(70, 5, 3000), FineGrainedType.FLOAT)
-    b = colr.embed_values(g.normal(70, 5, 3000), FineGrainedType.FLOAT)
+    a = colr.embed_sample(colr.sample_values(g.normal(70, 5, 3000)), FineGrainedType.FLOAT)
+    b = colr.embed_sample(colr.sample_values(g.normal(70, 5, 3000)), FineGrainedType.FLOAT)
     assert cosine(a, b) > 0.98
 
 
 def test_different_distribution_lower_similarity():
     g = np.random.default_rng(3)
-    a = colr.embed_values(g.normal(70, 5, 3000), FineGrainedType.FLOAT)
-    c = colr.embed_values(g.lognormal(8, 1, 3000), FineGrainedType.FLOAT)
+    a = colr.embed_sample(colr.sample_values(g.normal(70, 5, 3000)), FineGrainedType.FLOAT)
+    c = colr.embed_sample(
+        colr.sample_values(g.lognormal(8, 1, 3000)), FineGrainedType.FLOAT
+    )
     assert cosine(a, c) < 0.95
 
 
 def test_overlapping_values_similar():
     g = np.random.default_rng(4)
     pool = g.integers(0, 500, 10_000)
-    a = colr.embed_values(pool[:5000], FineGrainedType.INT)
-    b = colr.embed_values(pool[5000:], FineGrainedType.INT)
+    a = colr.embed_sample(colr.sample_values(pool[:5000]), FineGrainedType.INT)
+    b = colr.embed_sample(colr.sample_values(pool[5000:]), FineGrainedType.INT)
     assert cosine(a, b) > 0.98
 
 
 def test_text_topics_separate():
     happy = np.array(["great product really good value"] * 200, dtype=object)
     sad = np.array(["terrible awful broken useless item"] * 200, dtype=object)
-    e1 = colr.embed_values(happy, FineGrainedType.NATURAL_LANGUAGE)
-    e2 = colr.embed_values(sad, FineGrainedType.NATURAL_LANGUAGE)
+    e1 = colr.embed_sample(colr.sample_values(happy), FineGrainedType.NATURAL_LANGUAGE)
+    e2 = colr.embed_sample(colr.sample_values(sad), FineGrainedType.NATURAL_LANGUAGE)
     assert cosine(e1, e2) < 0.8
 
 
@@ -85,13 +88,13 @@ def test_subsampling_close_to_full(
     full = colr._forward(colr._numeric_features(vals), FineGrainedType.FLOAT).mean(
         axis=0
     ) - colr._CENTERS[FineGrainedType.FLOAT]
-    sampled = colr.embed_values(vals, FineGrainedType.FLOAT)
+    sampled = colr.embed_sample(colr.sample_values(vals), FineGrainedType.FLOAT)
     assert cosine(full, sampled) > 0.99
 
 
 def test_fixed_size_regardless_of_length():
-    small = colr.embed_values(np.arange(10), FineGrainedType.INT)
-    large = colr.embed_values(np.arange(100_000), FineGrainedType.INT)
+    small = colr.embed_sample(colr.sample_values(np.arange(10)), FineGrainedType.INT)
+    large = colr.embed_sample(colr.sample_values(np.arange(100_000)), FineGrainedType.INT)
     assert small.shape == large.shape == (EMBEDDING_DIM,)
 
 
@@ -115,7 +118,7 @@ vals = {"int": np.arange(9), "float": np.linspace(0, 5, 50),
         "boolean": ["true", "false"], "date": ["2020-01-01", "2021-02-02"]}
 for fgt in FineGrainedType:
     v = vals.get(fgt.value, ["alpha", "beta"])
-    print(fgt.value, colr.embed_values(v, fgt).tobytes().hex())
+    print(fgt.value, colr.embed_sample(colr.sample_values(v), fgt).tobytes().hex())
 """
 
 

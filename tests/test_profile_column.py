@@ -7,6 +7,7 @@ parsed them back by dtype, and the driver's ``column_embeddings``, which
 inferred the type on the full column. Columns of at most 1,000 non-null
 values must profile exactly as they did then.
 """
+import hashlib
 from collections.abc import Iterator
 
 import numpy as np
@@ -127,7 +128,8 @@ def _ref_column_embeddings(pdf):
     for col in pdf.columns:
         s = pdf[col]
         fgt = infer_fine_grained_type(s)
-        out[str(col)] = (fgt, colr.embed_values(s.dropna().to_numpy(), fgt))
+        sample = colr.sample_values(s.dropna().to_numpy())
+        out[str(col)] = (fgt, colr.embed_sample(sample, fgt))
     return out
 
 
@@ -224,3 +226,36 @@ def test_column_embeddings_equal_full_column_reference(module):
         for col, (fgt, emb) in want.items():
             assert got[col][0] is fgt, (spec.name, col)
             assert np.array_equal(got[col][1], emb), (spec.name, col)
+
+
+# --------------------------------------------------------------------------
+# the profile of every column is pinned bit for bit
+# --------------------------------------------------------------------------
+def _profile_digest():
+    from repro.lakegen.benchmarks import build_benchmark
+
+    lake = build_benchmark("santos_small")
+    frames = [lake.tables[t] for t in sorted(lake.tables)]
+    frames += [cleaning_datasets.build_dataset(spec, 1)
+               for spec in cleaning_datasets.SPECS]
+    frames += [transformation_datasets.build_dataset(spec, 1)[0]
+               for spec in transformation_datasets.SPECS]
+    h = hashlib.sha256()
+    n = 0
+    for pdf in frames:
+        for col in pdf.columns:
+            fgt, true_ratio, mean, std, emb = profiler.profile_column(
+                colr.sample_values(pdf[col])
+            )
+            h.update(repr((fgt.value, true_ratio, mean, std)).encode())
+            h.update(emb.tobytes())
+            n += 1
+    return n, h.hexdigest()
+
+
+def test_profile_column_output_is_pinned():
+    """Type, true ratio, mean, std and embedding of every column of
+    santos_small and the seed-1 cleaning and transformation datasets."""
+    assert _profile_digest() == (
+        641, "7384c20d2da74599fae809b082cffbe62a97d87dc0b88ad44ed9cf2cffa0f4aa"
+    )

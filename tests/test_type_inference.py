@@ -2,8 +2,10 @@
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.core.type_inference import infer_fine_grained_type
+from repro.core.type_inference import _BOOL_VOCAB, _is_boolean, infer_fine_grained_type
 from repro.core.types import FineGrainedType as F
 
 
@@ -66,3 +68,28 @@ def test_large_column_sampled():
     g = np.random.default_rng(0)
     s = pd.Series(g.integers(0, 100, 50_000))
     assert infer_fine_grained_type(s) is F.INT
+
+
+def _ref_is_boolean(s):
+    """The set-based check ``_is_boolean`` replaced."""
+    distinct = {str(v).strip().lower() for v in s.unique()}
+    return 0 < len(distinct) <= 2 and distinct <= _BOOL_VOCAB
+
+
+_BOOLISH = st.one_of(
+    st.sampled_from(sorted(_BOOL_VOCAB)).map(lambda v: v.upper() if len(v) == 1 else v),
+    st.sampled_from([" true", "No ", "2", "maybe", ""]),
+    st.integers(-1, 2),
+    st.floats(-1, 2, allow_nan=False),
+    st.booleans(),
+)
+
+
+@given(st.lists(_BOOLISH, max_size=8))
+@example([])
+@example(["yes", "no", "y"])
+@example([0, 1.0, "1"])
+@settings(max_examples=300, deadline=None)
+def test_is_boolean_matches_set_based_check(values):
+    s = pd.Series(values, dtype=object)
+    assert _is_boolean(s) == _ref_is_boolean(s)

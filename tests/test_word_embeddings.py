@@ -1,6 +1,10 @@
 """Unit tests for pseudo-GloVe label embeddings (DESIGN.md S2)."""
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import word_embeddings as we
 
@@ -66,3 +70,34 @@ def test_cosine_zero_vectors():
 
 def test_english_vocab_nonempty():
     assert "good" in we.ENGLISH_VOCAB and len(we.ENGLISH_VOCAB) > 100
+
+
+def _ref_trigram_vector(text, dim):
+    """The per-string loop ``trigram_vectors`` replaced: one digest per
+    trigram, one norm per string."""
+    padded = f"#{text}#"
+    vec = np.zeros(dim)
+    for i in range(max(1, len(padded) - 2)):
+        digest = hashlib.blake2b(padded[i : i + 3].encode(), digest_size=8).digest()
+        h = int.from_bytes(digest, "big")
+        vec[h % dim] += 1.0 if (h >> 16) % 2 else -1.0
+    n = np.linalg.norm(vec)
+    return vec / n if n > 0 else vec
+
+
+_TEXTS = st.one_of(
+    st.text(),
+    st.just(""),
+    st.text(min_size=1, max_size=2),
+    st.text(alphabet="aé日ß🙂 #", max_size=8),
+)
+
+
+@given(st.lists(_TEXTS, max_size=12), st.sampled_from([3, 50, 64]))
+@example(["", "a", "ab", "ab", "日本語", "#"], 64)
+@settings(max_examples=300, deadline=None)
+def test_trigram_vectors_match_per_string_loop(texts, dim):
+    got = we.trigram_vectors(texts, dim)
+    assert got.shape == (len(texts), dim)
+    for row, text in zip(got, texts):
+        assert np.array_equal(row, _ref_trigram_vector(text, dim))
