@@ -12,13 +12,15 @@ supported by the language"), enriched by:
   node (verified later by the Graph Linker).
 
 One recursive walk over a script's statement list abstracts every
-statement under the control-flow type of its enclosing block: ``for``
-and ``while`` bodies are ``loop``, ``if``/``elif``/``else`` bodies
-``conditional`` and ``def`` bodies ``function``; imports register their
-aliases and are ``import``; top-level statements are ``module``. A loop's
-``else`` body is not walked, and ``with``, ``try``, ``class`` and
-``async def`` are each one statement, defined by the first resolvable
-call inside them.
+simple statement, at any depth, under the control-flow type of its
+enclosing block: ``for``, ``async for`` and ``while`` bodies and their
+``else`` bodies are ``loop``; ``if``/``elif``/``else`` bodies, ``match``
+cases and ``except`` handlers are ``conditional``; ``def`` and
+``async def`` bodies are ``function``; ``class`` bodies are ``class``;
+imports register their aliases and are ``import``; top-level statements
+are ``module``. ``with`` bodies and the body, ``else`` and ``finally``
+of a ``try`` keep the enclosing type. A ``with`` header is a statement
+of its own, for its context-manager call; no other block header is.
 
 Each statement node carries code flow, data flow, control-flow type and
 raw text; insignificant statements (``print``, ``head``, ...) are
@@ -30,6 +32,7 @@ baseline shares.
 from __future__ import annotations
 
 import ast
+import copy
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
@@ -58,10 +61,26 @@ class AbstractedStatement:
     column_reads: list[tuple[str, str, str]] = field(default_factory=list)
 
 
-# Statements whose body and ``else`` body are walked under their own
-# control-flow type.
-_BLOCKS = {ast.For: "loop", ast.While: "loop", ast.If: "conditional",
-           ast.FunctionDef: "function"}
+# Every node that holds statement lists: the control-flow type its lists
+# are walked under (None keeps the enclosing type) and the lists, in
+# source order. ``except`` handlers and ``match`` cases are nodes of
+# their own, listed in their ``try``'s ``handlers`` and ``match``'s ``cases``.
+_BLOCKS: dict[type, tuple[str | None, tuple[str, ...]]] = {
+    ast.For: ("loop", ("body", "orelse")),
+    ast.AsyncFor: ("loop", ("body", "orelse")),
+    ast.While: ("loop", ("body", "orelse")),
+    ast.If: ("conditional", ("body", "orelse")),
+    ast.Match: ("conditional", ("cases",)),
+    ast.match_case: (None, ("body",)),
+    ast.Try: (None, ("body", "handlers", "orelse", "finalbody")),
+    ast.TryStar: (None, ("body", "handlers", "orelse", "finalbody")),
+    ast.ExceptHandler: ("conditional", ("body",)),
+    ast.With: (None, ("body",)),
+    ast.AsyncWith: (None, ("body",)),
+    ast.FunctionDef: ("function", ("body",)),
+    ast.AsyncFunctionDef: ("function", ("body",)),
+    ast.ClassDef: ("class", ("body",)),
+}
 
 
 class _Analyzer:
@@ -213,12 +232,20 @@ class _Analyzer:
             return
         self.statements.append(stmt)
 
-    def walk(self, body: list[ast.stmt], control: str) -> None:
+    def walk(self, body: list[ast.AST], control: str) -> None:
         """Abstract each statement of ``body`` under the control-flow
-        type ``control``; the bodies of ``_BLOCKS`` under their own."""
+        type ``control``; the statement lists of ``_BLOCKS`` under theirs."""
         for node in body:
-            if type(node) in _BLOCKS:
-                self.walk(node.body + getattr(node, "orelse", []), _BLOCKS[type(node)])
+            block = _BLOCKS.get(type(node))
+            if block is not None:
+                if isinstance(node, (ast.With, ast.AsyncWith)):
+                    # the header alone, for its context-manager call
+                    header = copy.copy(node)
+                    header.body = []
+                    self._add_statement(header, control)
+                inner, lists = block
+                for name in lists:
+                    self.walk(getattr(node, name), inner or control)
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 self._bind_import(node)
                 self._add_statement(node, "import")

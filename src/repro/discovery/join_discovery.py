@@ -4,8 +4,9 @@ Per §3.3, two tables are *joinable* if columns share high **content**
 similarity (value overlap), while unionability relies on label
 similarity. Join paths chain joinable tables: a 2-hop path joins the
 source to the target through one intermediate table. Implemented as BFS
-over the materialized content-similarity edges of the union-search
-index.
+over the joinable-table adjacency the union-search index derives once
+from its content-similarity edges; a path of ``hops`` joins is never
+extended.
 """
 from __future__ import annotations
 
@@ -13,37 +14,29 @@ from collections import deque
 
 import pandas as pd
 
-from repro.core import ontology as O
-
 from .union_search import UnionSearchIndex
 
 
 def joinable_adjacency(index: UnionSearchIndex) -> dict[str, set[str]]:
     """table -> directly joinable tables (content-similar column pairs)."""
-    edges = index.edges
-    content = edges[edges["pred"] == O.CONTENT_SIMILARITY]
-    adj: dict[str, set[str]] = {}
-    for a, b in zip(content["table_a"], content["table_b"]):
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    return adj
+    return {table: set(tables) for table, tables in index.adjacency.items()}
 
 
 def find_join_paths(
     index: UnionSearchIndex, source: str, target: str, hops: int = 2
 ) -> list[list[str]]:
     """All join paths from ``source`` to ``target`` within ``hops`` joins."""
-    adj = joinable_adjacency(index)
+    adj = index.adjacency
     paths: list[list[str]] = []
     queue: deque[list[str]] = deque([[source]])
     while queue:
         path = queue.popleft()
-        if len(path) - 1 > hops:
-            continue
         if path[-1] == target and len(path) > 1:
             paths.append(path)
             continue
-        for nxt in sorted(adj.get(path[-1], ())):
+        if len(path) - 1 >= hops:
+            continue
+        for nxt in adj.get(path[-1], ()):
             if nxt not in path:
                 queue.append(path + [nxt])
     return paths

@@ -13,7 +13,7 @@ import pandas as pd
 from repro.core import ontology as O
 from repro.core.triples import TripleStore
 from repro.discovery.join_discovery import find_join_paths, join_paths_frame
-from repro.discovery.union_search import UnionSearchIndex
+from repro.discovery.union_search import PAIR_COLUMNS, UnionSearchIndex
 
 
 def search_tables_based_on_specific_columns(
@@ -62,23 +62,13 @@ def find_unionable_columns(
     """Matched (unionable) column pairs between two tables — the
     recommended merged schema of §5. Each column of ``table_a`` keeps its
     most similar partner, the first by name on ties; rows run by
-    similarity, then by name."""
-    edges = index.edges
-    mine = edges[
-        (edges["table_a"] == table_a) & (edges["table_b"] == table_b)
-    ]
-    if mine.empty:
-        return pd.DataFrame(columns=["column_a", "column_b", "similarity"])
-    best = (
-        mine.groupby(["col_a", "col_b"])["w"].max().reset_index()
-        # groupby yields (col_a, col_b) order; a stable sort keeps it on ties
-        .sort_values("w", ascending=False, kind="stable")
-        .drop_duplicates("col_a")
-        .rename(columns={"col_a": "column_a", "col_b": "column_b",
-                         "w": "similarity"})
-        .reset_index(drop=True)
-    )
-    return best
+    similarity, then by name. The index holds every pair's rows; this is
+    a lookup."""
+    rows = index.pair_rows.get((table_a, table_b))
+    if rows is None:
+        return pd.DataFrame(columns=PAIR_COLUMNS)
+    # reset_index copies: the caller may change the answer, not the index
+    return index.pairs.iloc[rows].reset_index(drop=True)
 
 
 def get_path_to_table(

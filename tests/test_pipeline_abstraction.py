@@ -1,8 +1,11 @@
 """Tests for Pipeline Abstraction (Algorithm 1) on the Figure-3 example."""
+import ast
 import hashlib
 
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ontology as O
 from repro.core.pipeline_abstraction import (
@@ -206,8 +209,13 @@ def prepare(frame):
         return np.log(x)
     return scaler.fit_transform(frame)
 async def fetch(url):
+    async with connect(url) as conn:
+        raw = pd.read_csv(conn)
+    async for chunk in conn:
+        raw = raw.fillna(chunk)
     return pd.read_csv(url)
 class Model:
+    scaler = StandardScaler()
     def fit(self, X):
         return StandardScaler().fit(X)
 with open('out.csv') as fh:
@@ -216,15 +224,29 @@ try:
     df = pd.read_csv('kinds/test.csv')
 except OSError:
     df = None
+else:
+    df = df.dropna()
+finally:
+    df = df.copy()
+try:
+    df = df.fillna(0)
+except* ValueError:
+    df = df.interpolate()
+match df.shape:
+    case (0, _):
+        df = df.dropna()
+    case _:
+        df = df.copy()
 print(df.head())
 df.head()
 """
 
 
 def test_every_statement_kind():
-    """Loop ``else`` bodies are walked under ``loop``; ``with``, ``try``, ``class``
-    and ``async def`` are one statement each, named by their first
-    resolvable call."""
+    """Every statement list is walked: loop ``else`` bodies under ``loop``,
+    ``match`` cases and ``except`` handlers under ``conditional``, ``class``
+    bodies under ``class``; ``with`` and ``try`` bodies keep the enclosing
+    type, and a ``with`` header is a statement of its own."""
     got = [(s.text, s.control_flow, s.call) for s in analyze_script(KINDS)]
     assert got == [
         ("import pandas as pd", "import", None),
@@ -250,31 +272,105 @@ def test_every_statement_kind():
         ("return np.log(x)", "function", "numpy.log"),
         ("return scaler.fit_transform(frame)", "function",
          "sklearn.preprocessing.StandardScaler.fit_transform"),
-        ("async def fetch(url):\n    return pd.read_csv(url)", "module",
-         "pandas.read_csv"),
-        ("class Model:\n\n    def fit(self, X):\n"
-         "        return StandardScaler().fit(X)", "module",
+        ("async with connect(url) as conn:", "function", "connect"),
+        ("raw = pd.read_csv(conn)", "function", "pandas.read_csv"),
+        ("raw = raw.fillna(chunk)", "loop", "pandas.DataFrame.fillna"),
+        ("return pd.read_csv(url)", "function", "pandas.read_csv"),
+        ("scaler = StandardScaler()", "class", "sklearn.preprocessing.StandardScaler"),
+        ("return StandardScaler().fit(X)", "function",
          "sklearn.preprocessing.StandardScaler"),
-        ("with open('out.csv') as fh:\n    df.to_csv(fh)", "module", "open"),
-        ("try:\n    df = pd.read_csv('kinds/test.csv')\nexcept OSError:\n"
-         "    df = None", "module", "pandas.read_csv"),
+        ("with open('out.csv') as fh:", "module", "open"),
+        ("df.to_csv(fh)", "module", "pandas.DataFrame.to_csv"),
+        ("df = pd.read_csv('kinds/test.csv')", "module", "pandas.read_csv"),
+        ("df = None", "conditional", None),
+        ("df = df.dropna()", "module", "pandas.DataFrame.dropna"),
+        ("df = df.copy()", "module", "pandas.DataFrame.copy"),
+        ("df = df.fillna(0)", "module", "pandas.DataFrame.fillna"),
+        ("df = df.interpolate()", "conditional", "pandas.DataFrame.interpolate"),
+        ("df = df.dropna()", "conditional", "pandas.DataFrame.dropna"),
+        ("df = df.copy()", "conditional", "pandas.DataFrame.copy"),
+    ]
+
+
+# Each compound statement as its clause headers; every clause gets a body.
+# The optional trailing clauses are drawn separately.
+CLAUSES = {
+    "for": (["for i in items:"], ["else:"]),
+    "async for": (["async for i in items:"], ["else:"]),
+    "while": (["while more():"], ["else:"]),
+    "if": (["if ok():"], ["elif other():", "else:"]),
+    "match": (["match v:", "    case 1:", "    case _:"], []),
+    "try": (["try:", "except OSError:"], ["else:", "finally:"]),
+    "try*": (["try:", "except* ValueError:"], []),
+    "with": (["with opened() as fh, lock():"], []),
+    "async with": (["async with connect() as conn:"], []),
+    "def": (["def f(x):"], []),
+    "async def": (["async def g(x):"], []),
+    "class": (["class C:"], []),
+}
+
+
+@st.composite
+def statement_lists(draw, depth: int = 0) -> list[str]:
+    """Source lines of a statement list: simple statements (``pass`` is
+    insignificant) and compound statements nested up to three deep."""
+    lines: list[str] = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["simple"] * 2 + (list(CLAUSES) if depth < 3 else [])))
+        if kind == "simple":
+            n = draw(st.integers(0, 99))
+            lines.append(draw(st.sampled_from([f"v{n} = load({n})", f"show(v{n})", "pass"])))
+            continue
+        must, optional = CLAUSES[kind]
+        headers = must + [h for h in optional if draw(st.booleans())]
+        for header in headers:
+            lines.append(header)
+            if header == "match v:":  # its cases hold the bodies
+                continue
+            pad = " " * (len(header) - len(header.lstrip()) + 4)
+            lines += [pad + ln for ln in draw(statement_lists(depth + 1))]
+    return lines
+
+
+@settings(max_examples=200)
+@given(lines=statement_lists())
+def test_every_simple_statement_is_abstracted_once(lines):
+    """Brute force over ``ast.walk``: each simple statement and each
+    ``with`` header appears once, in source order, unless it is ``pass``."""
+    script = "\n".join(lines)
+    want = []
+    for node in ast.walk(ast.parse(script)):
+        if isinstance(node, (ast.With, ast.AsyncWith)):
+            want.append((node.lineno, ast.unparse(node).split("\n")[0]))
+        elif isinstance(node, ast.stmt) and not any(
+            isinstance(sub, ast.stmt) for sub in list(ast.walk(node))[1:]
+        ):
+            want.append((node.lineno, ast.unparse(node)))
+    assert [s.text for s in analyze_script(script)] == [
+        text for _, text in sorted(want) if text != "pass"
     ]
 
 
 def test_alg1_output_is_pinned():
-    """Alg. 1's named graphs for 300 corpus scripts plus ``KINDS``, as
-    the sha256 of their sorted (g, s, p, o, w) quads. A change here
-    changes the Table 3 and Table 4 graphs."""
+    """Alg. 1's named graphs for 300 corpus scripts and for ``KINDS``, each
+    as the count and sha256 of their sorted (g, s, p, o, w) quads. A change
+    to the corpus part changes the Table 3 and Table 4 graphs."""
     _, scripts = make_corpus(n_datasets=30, pipelines_per_dataset=10, rows=50, seed=7)
-    frames = [
+    corpus = [
         statements_to_triples(r.pipeline_id, analyze_script(r.script), r._asdict())
         for r in scripts.itertuples(index=False)
     ]
-    frames.append(statements_to_triples("kinds", analyze_script(KINDS), {"dataset": "kinds"}))
-    quads = sorted(
-        "\t".join(map(str, q)) for f in frames for q in f.itertuples(index=False)
+    kinds = [statements_to_triples("kinds", analyze_script(KINDS), {"dataset": "kinds"})]
+
+    def digest(frames):
+        quads = sorted(
+            "\t".join(map(str, q)) for f in frames for q in f.itertuples(index=False)
+        )
+        return len(quads), hashlib.sha256("\n".join(quads).encode()).hexdigest()
+
+    assert digest(corpus) == (
+        49188, "6a768cac8b77a8d33ead71b2c7af464bbbfae6a5ed8cb7c5d99925e5676b55b1"
     )
-    assert len(quads) == 49401
-    assert hashlib.sha256("\n".join(quads).encode()).hexdigest() == (
-        "1f6b7d50bc51b651fcc6bff087b4b781547afdcb9709802a9b8ddb021d8e4620"
+    assert digest(kinds) == (
+        324, "a9a1aeb4bb0194ba22d986997a823a9284fa78a6457ee38baab2f9c3ca4d40b8"
     )
