@@ -128,18 +128,6 @@ def test_index_answers_as_the_edge_scans_did(edges):
                 ), (a, b, hops)
 
 
-def test_negative_and_zero_hops_find_no_path():
-    edges = pd.DataFrame(
-        [("A", "x", "B", "x", O.CONTENT_SIMILARITY, 1.0),
-         ("B", "x", "A", "x", O.CONTENT_SIMILARITY, 1.0)],
-        columns=EDGE_COLUMNS,
-    )
-    index = us.UnionSearchIndex(edges, {})
-    assert join_discovery.find_join_paths(index, "A", "B", hops=1) == [["A", "B"]]
-    for hops in (-3, -1, 0):
-        assert join_discovery.find_join_paths(index, "A", "B", hops) == []
-
-
 # --------------------------------------------------------------------------
 # guard: requests read the derived tables, never the edges
 # --------------------------------------------------------------------------
