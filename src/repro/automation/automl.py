@@ -28,7 +28,7 @@ def _classifier_calls(store: TripleStore, dataset: str | None = None) -> pd.Data
     """(dataset, pipeline, classifier, votes) for every estimator call,
     or for those of ``dataset``'s pipelines when it is given."""
     rows = pipeline_calls(store, dataset)
-    rows["classifier"] = rows["func"].map(O.parts).str[-1]
+    rows["classifier"] = O.decode(rows["func"], lambda uri: O.parts(uri)[-1])
     rows = rows[rows["classifier"].isin(_CLASSIFIER_TAILS)].copy()
     rows["votes"] = rows["votes"].astype(float)
     return rows[["dataset", "pipe", "stmt", "classifier", "votes"]]

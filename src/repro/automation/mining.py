@@ -29,7 +29,8 @@ def pipeline_calls(store: TripleStore, dataset: str | None = None) -> pd.DataFra
             ("?pipe", O.HAS_VOTES, "?votes"),
         ]
     )
-    rows["dataset"] = rows["ds"].map(O.data_names).str[0] if dataset is None else dataset
+    rows["dataset"] = (O.decode(rows["ds"], lambda uri: O.data_names(uri)[0])
+                       if dataset is None else dataset)
     return rows
 
 

@@ -108,7 +108,7 @@ def mine_column_transform_labels(store: TripleStore) -> pd.DataFrame:
         ]
     )
     rows = rows.assign(op=rows["func"].map(_UNARY_CALLS)).dropna(subset=["op"])
-    names = rows["col"].map(O.data_names)  # (dataset, table, column)
+    names = O.decode(rows["col"], O.data_names)  # (dataset, table, column)
     rows["dataset"] = names.str[0]
     rows["column"] = names.str[2]
     return (

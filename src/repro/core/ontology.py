@@ -15,7 +15,10 @@ aspect of their own.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from urllib.parse import quote, unquote
+
+import pandas as pd
 
 ONTOLOGY = "http://kglids.org/ontology/"
 RESOURCE = "http://kglids.org/resource/"
@@ -61,6 +64,12 @@ def data_names(uri: str) -> tuple[str, ...]:
     """The names ``data_node`` encoded in ``uri``:
     ``data_names(data_node(*ns)) == ns``."""
     return parts(uri)[1:]
+
+
+def decode(uris: pd.Series, decoder: Callable[[str], object]) -> pd.Series:
+    """``uris.map(decoder)`` as an object Series, running ``decoder``
+    once per distinct URI rather than once per row."""
+    return uris.map({uri: decoder(uri) for uri in uris.unique()}).astype(object)
 
 
 # ---- Classes (13 in the paper; the ones our algorithms instantiate) ----

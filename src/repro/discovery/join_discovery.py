@@ -43,10 +43,7 @@ def find_join_paths(
 
 
 def join_paths_frame(paths: list[list[str]]) -> pd.DataFrame:
-    """Paths as the Pandas DataFrame the KGLiDS API returns."""
-    return pd.DataFrame(
-        {
-            "hops": [len(p) - 1 for p in paths],
-            "path": [" -> ".join(p) for p in paths],
-        }
-    ).sort_values(["hops", "path"]).reset_index(drop=True)
+    """Paths as the Pandas DataFrame the KGLiDS API returns, by hops and
+    then by path."""
+    rows = sorted((len(p) - 1, " -> ".join(p)) for p in paths)
+    return pd.DataFrame({"hops": [h for h, _ in rows], "path": [p for _, p in rows]})

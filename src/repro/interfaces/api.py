@@ -28,7 +28,7 @@ def search_tables_based_on_specific_columns(
     cols = store.match_bgp(
         [("?col", O.RDF_TYPE, O.COLUMN), ("?col", O.RDFS_LABEL, "?label")]
     )
-    names = cols["col"].map(O.data_names)
+    names = O.decode(cols["col"], O.data_names)
     frame = pd.DataFrame(
         {
             "dataset": names.str[0],
@@ -39,12 +39,17 @@ def search_tables_based_on_specific_columns(
     )
 
     def _matches(group: pd.DataFrame) -> bool:
-        table_labels = " ".join(group["label"])
+        labels = list(group["label"])
+
+        def found(term) -> bool:  # within one column label
+            term = str(term).lower()
+            return any(term in label for label in labels)
+
         for cond in conditions:
             if isinstance(cond, list):
-                if all(term.lower() in table_labels for term in cond):
+                if all(found(term) for term in cond):
                     return True
-            elif str(cond).lower() in table_labels:
+            elif found(cond):
                 return True
         return False
 
@@ -94,7 +99,7 @@ def get_top_used_libraries(
     if task is not None:
         patterns.append(("?pipe", O.HAS_TASK, task))
     calls = store.match_bgp(patterns)
-    calls["library"] = calls["lib"].map(O.parts).str[-1]
+    calls["library"] = O.decode(calls["lib"], lambda uri: O.parts(uri)[-1])
     return (
         calls.groupby("library")["pipe"]
         .nunique()
@@ -119,7 +124,7 @@ def get_pipelines_calling_libraries(
     rows = store.match_bgp(patterns)
     if rows.empty:
         return pd.DataFrame(columns=["pipeline", "author", "votes"])
-    rows["pipeline"] = rows["pipe"].map(O.parts).str[-1]
+    rows["pipeline"] = O.decode(rows["pipe"], lambda uri: O.parts(uri)[-1])
     out = (
         rows[["pipeline", "author", "votes"]]
         .drop_duplicates("pipeline")

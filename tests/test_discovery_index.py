@@ -66,6 +66,15 @@ def ref_find_join_paths(adj, source, target, hops):
     return paths
 
 
+def ref_join_paths_frame(paths: list[list[str]]) -> pd.DataFrame:
+    return pd.DataFrame(
+        {
+            "hops": [len(p) - 1 for p in paths],
+            "path": [" -> ".join(p) for p in paths],
+        }
+    ).sort_values(["hops", "path"]).reset_index(drop=True)
+
+
 def ref_find_unionable_columns(edges, table_a, table_b) -> pd.DataFrame:
     mine = edges[(edges["table_a"] == table_a) & (edges["table_b"] == table_b)]
     if mine.empty:
@@ -123,9 +132,11 @@ def test_index_answers_as_the_edge_scans_did(edges):
                 ref_find_unionable_columns(edges, a, b),
             )
             for hops in range(-1, 4):
-                assert join_discovery.find_join_paths(index, a, b, hops) == (
-                    ref_find_join_paths(adj, a, b, hops)
-                ), (a, b, hops)
+                paths = ref_find_join_paths(adj, a, b, hops)
+                assert join_discovery.find_join_paths(index, a, b, hops) == paths, (a, b, hops)
+                pd.testing.assert_frame_equal(
+                    api.get_path_to_table(index, a, b, hops), ref_join_paths_frame(paths)
+                )
 
 
 # --------------------------------------------------------------------------

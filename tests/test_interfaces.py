@@ -76,6 +76,24 @@ def test_search_tables_matches_column_labels_only(spark):
     assert hits.to_dict("records") == [{"dataset": "cardio", "table": "heartstudy"}]
 
 
+def test_search_terms_match_within_one_column_label(spark):
+    """A term spanning two column labels matches neither, whatever order
+    the labels come in."""
+    for columns in (("age", "sex"), ("sex", "age")):
+        tb = TripleBuilder()
+        tab = O.data_node("cardio", "heartstudy")
+        for column in columns:
+            col = O.data_node("cardio", "heartstudy", column)
+            tb.add(col, O.RDF_TYPE, O.COLUMN)
+            tb.add(col, O.RDFS_LABEL, column)
+            tb.add(col, O.IS_PART_OF, tab)
+        store = TripleStore.from_pandas(spark, tb.to_pandas())
+        for conditions in (["age sex"], ["sex age"], [["age sex"]], [["ex ag"]]):
+            assert len(api.search_tables_based_on_specific_columns(store, conditions)) == 0
+        hits = api.search_tables_based_on_specific_columns(store, [["ag", "ex"], "zzz"])
+        assert hits.to_dict("records") == [{"dataset": "cardio", "table": "heartstudy"}]
+
+
 def test_find_unionable_columns(lake, index):
     q = lake.query_tables[0]
     member = sorted(lake.unionable_with(q))[0]

@@ -1,6 +1,7 @@
 """Tests for the triple store and its BGP evaluator (sub. S4)."""
 import math
 
+import numpy as np
 import pandas as pd
 import pytest
 from hypothesis import assume, given, settings
@@ -248,3 +249,127 @@ def test_bgp_equals_duckdb_and_spark_join_chain(spark, quads, patterns):
     assert_equivalent(store.match_bgp(patterns), sql, quads=quads)
     assert_equivalent(spark_bgp(store.df, patterns), sql, quads=quads)
 
+
+
+# ---------- the evaluator against a nested loop and the pandas evaluator ----------
+def pandas_bgp(quads: pd.DataFrame, patterns) -> pd.DataFrame:
+    """The pandas evaluator the encoded one replaced, as a reference:
+    constants are boolean masks over the (s, p, o, w) quads, patterns are
+    merged in order on their shared variables (a cross product when none
+    is shared), and the answer is distinct over the variables."""
+    result: pd.DataFrame | None = None
+    for i, pattern in enumerate(patterns):
+        mask = np.ones(len(quads), dtype=bool)
+        column_of: dict[str, str] = {}
+        for col, term in zip("spo", pattern):
+            if term.startswith("?"):
+                column_of[term[1:]] = col
+            else:
+                mask &= quads[col].to_numpy() == term
+        part = quads.loc[mask, [*column_of.values(), "w"]]
+        part.columns = [*column_of, f"_w{i}"]
+        if result is None:
+            result = part
+        else:
+            shared = [c for c in column_of if c in result.columns]
+            result = (result.merge(part, on=shared) if shared
+                      else result.merge(part, how="cross"))
+    assert result is not None
+    var_cols = [c for c in result.columns if not c.startswith("_w")]
+    weights = [c for c in result.columns if c.startswith("_w")]
+    return result[var_cols + weights].drop_duplicates(var_cols).reset_index(drop=True)
+
+
+def _nested_loop_bgp(quads: pd.DataFrame, patterns) -> pd.DataFrame:
+    """The documented answer by brute force: each binding so far, in
+    order, extended by every quad, in snapshot order, that matches the
+    next pattern under it; then the first row of each distinct binding."""
+    rows = list(quads[["s", "p", "o", "w"]].itertuples(index=False, name=None))
+    answers: list[tuple[dict, list]] = [({}, [])]
+    for pattern in patterns:
+        extended = []
+        for binding, weights in answers:
+            for *spo, w in rows:
+                b = dict(binding)
+                if all(b.setdefault(t[1:], v) == v if t.startswith("?") else t == v
+                       for t, v in zip(pattern, spo)):
+                    extended.append((b, weights + [w]))
+        answers = extended
+    variables = list(dict.fromkeys(t[1:] for p in patterns for t in p if t.startswith("?")))
+    weight_cols = [f"_w{i}" for i in range(len(patterns))]
+    seen, out = set(), []
+    for binding, weights in answers:
+        key = tuple(binding[v] for v in variables)
+        if key not in seen:
+            seen.add(key)
+            out.append([*key, *weights])
+    frame = pd.DataFrame(out, columns=variables + weight_cols)
+    return frame.astype({**{v: object for v in variables}, **{w: "float64" for w in weight_cols}})
+
+
+def _as_multiset(frame: pd.DataFrame) -> pd.DataFrame:
+    return frame.sort_values(list(frame.columns)).reset_index(drop=True)
+
+
+_ABSENT_NODE, _ABSENT_PREDICATE = "c", "r"  # terms no quad holds
+_any_node = st.sampled_from(_VARIABLES + _NODES + [_ABSENT_NODE])
+_any_bgps = st.lists(
+    st.tuples(_any_node, st.sampled_from(_VARIABLES + _PREDICATES + [_ABSENT_PREDICATE]),
+              _any_node)
+    .filter(lambda pattern: not _binds_a_variable_twice(pattern)),
+    min_size=1, max_size=3,
+).filter(lambda patterns: any(t.startswith("?") for p in patterns for t in p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(quads=_quads(), order=st.randoms(use_true_random=False),
+       bgps=st.lists(_any_bgps, min_size=1, max_size=4))
+def test_bgp_is_the_nested_loop_answer(spark, quads, order, bgps):
+    """Exact frame — columns, dtypes, row order — against the nested loop
+    over the quads in the order the store holds them, and the same rows
+    as the pandas evaluator; variables in the predicate position,
+    constants no quad holds, cross products, patterns sharing two
+    variables and triples in two named graphs all occur."""
+    rows = list(range(len(quads)))
+    order.shuffle(rows)
+    store = TripleStore.from_pandas(spark, quads.iloc[rows].reset_index(drop=True))
+    held = store.df.toPandas()  # the order the snapshot collects
+    for patterns in bgps:
+        got = store.match_bgp(patterns)
+        pd.testing.assert_frame_equal(got, _nested_loop_bgp(held, patterns))
+        pd.testing.assert_frame_equal(_as_multiset(got), _as_multiset(pandas_bgp(held, patterns)))
+
+
+def test_bgp_rows_come_in_nested_loop_order(spark):
+    tb = TripleBuilder()
+    for s, o in (("b", "x"), ("a", "y"), ("a", "x"), ("b", "y")):
+        tb.add(s, "p", o)
+    tb.add("y", "q", "1", w=0.5)
+    tb.add("x", "q", "2", w=0.25)
+    store = TripleStore.from_pandas(spark, tb.to_pandas())
+    joined = store.match_bgp([("?s", "p", "?o"), ("?o", "q", "?n")])
+    assert list(zip(joined["s"], joined["o"], joined["n"])) == [
+        ("b", "x", "2"), ("a", "y", "1"), ("a", "x", "2"), ("b", "y", "1")
+    ]
+    assert list(joined["_w1"]) == [0.25, 0.5, 0.25, 0.5]
+    cross = store.match_bgp([("?a", "q", "1"), ("?b", "q", "?n")])
+    assert list(zip(cross["a"], cross["b"])) == [("y", "y"), ("y", "x")]
+
+
+def test_bgp_with_an_absent_constant_is_empty_with_its_columns(store):
+    for patterns in (
+        [("?c", "urn:no-such-predicate", "?t")],
+        [("?c", O.IS_PART_OF, "no-such-table")],
+        [("?c", O.IS_PART_OF, "?t"), ("?t", O.RDF_TYPE, "urn:no-such-class")],
+    ):
+        got = store.match_bgp(patterns)
+        variables = list(dict.fromkeys(t[1:] for p in patterns for t in p if t[0] == "?"))
+        assert list(got.columns) == variables + [f"_w{i}" for i in range(len(patterns))]
+        assert len(got) == 0 and isinstance(got.index, pd.RangeIndex)
+        assert all(got[v].dtype == object for v in variables)
+        assert all(got[f"_w{i}"].dtype == "float64" for i in range(len(patterns)))
+
+
+def test_bgp_rejects_a_variable_twice_in_one_pattern(store):
+    with pytest.raises(ValueError):
+        store.match_bgp([("?x", O.IS_PART_OF, "?x")])
