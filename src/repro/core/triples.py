@@ -136,13 +136,11 @@ def _join(
     return li, ri
 
 
-def _first_rows(columns: list[np.ndarray], n: int) -> np.ndarray:
+def _first_rows(columns: list[np.ndarray]) -> np.ndarray:
     """The positions, ascending, of the first row of each distinct tuple
-    of the ``n``-row ``columns``."""
-    if not columns:
-        return np.arange(min(n, 1))
+    of the equally long ``columns`` (one or more)."""
     order = np.lexsort(columns)  # stable: equal tuples keep their order
-    repeat = np.ones(n, dtype=bool)  # the row before in ``order`` is equal
+    repeat = np.ones(len(order), dtype=bool)  # the row before in ``order`` is equal
     repeat[:1] = False
     for codes in columns:
         ordered = codes[order]
@@ -224,11 +222,12 @@ class TripleStore:
         """Conjunctive basic-graph-pattern query — the SPARQL substitute.
 
         Each pattern is (s, p, o); a term starting with '?' is a
-        variable, used at most once per pattern. Evaluated on the
-        dictionary-encoded driver snapshot of the quads: a constant
-        predicate selects its indexed rows, other constants are compared
-        as codes, and each pattern is joined to the rows so far on the
-        variables they share (a cross product when none is shared).
+        variable, used at most once per pattern and at least once in the
+        BGP. Evaluated on the dictionary-encoded driver snapshot of the
+        quads: a constant predicate selects its indexed rows, other
+        constants are compared as codes, and each pattern is joined to
+        the rows so far on the variables they share (a cross product
+        when none is shared).
         Returns a pandas frame of one object column per variable, in
         order of first appearance, then the float64 weight ``_w<i>`` of
         pattern i, on a RangeIndex. Rows come in nested-loop order: the
@@ -238,8 +237,8 @@ class TripleStore:
         through several quads (one triple in two named graphs) keeps the
         weights of the first.
         """
-        if not patterns:
-            raise ValueError("empty BGP")
+        if not any(t.startswith("?") for pattern in patterns for t in pattern):
+            raise ValueError("a BGP needs a pattern with a variable")
         if self._snapshot is None:
             self._snapshot = _Snapshot.encode(
                 self.df.select("s", "p", "o", "w").toPandas()
@@ -265,7 +264,7 @@ class TripleStore:
             for v, col in own.items():
                 first.setdefault(v, (i, col))
         codes = {v: snap.codes[col][bound[i]] for v, (i, col) in first.items()}
-        keep = _first_rows(list(codes.values()), len(bound[0]))
+        keep = _first_rows(list(codes.values()))
         answer = {v: snap.terms[c[keep]] for v, c in codes.items()}
         answer.update({f"_w{i}": snap.w[b[keep]] for i, b in enumerate(bound)})
         return pd.DataFrame(answer)

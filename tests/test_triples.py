@@ -112,6 +112,8 @@ def test_bgp_with_similarity_chain(store):
 def test_bgp_empty_raises(store):
     with pytest.raises(ValueError):
         store.match_bgp([])
+    with pytest.raises(ValueError):
+        store.match_bgp([("a", O.RDF_TYPE, O.TABLE)])
 
 
 def test_bgp_matches_duckdb_oracle(spark, store):

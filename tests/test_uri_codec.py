@@ -54,11 +54,13 @@ def test_uri_format_lives_in_ontology():
     assert minted == []
     assert [(rel, line.strip()) for rel, line in decoded] == [
         ("automation/automl.py",
-         'rows["classifier"] = rows["func"].map(O.parts).str[-1]'),
+         'rows["classifier"] = O.decode(rows["func"], lambda uri: O.parts(uri)[-1])'),
         ("core/pipeline_abstraction.py",
          'used = {".".join(O.parts(r["o"])[1:]) for r in call_rows}'),
-        ("interfaces/api.py", 'calls["library"] = calls["lib"].map(O.parts).str[-1]'),
-        ("interfaces/api.py", 'rows["pipeline"] = rows["pipe"].map(O.parts).str[-1]'),
+        ("interfaces/api.py",
+         'calls["library"] = O.decode(calls["lib"], lambda uri: O.parts(uri)[-1])'),
+        ("interfaces/api.py",
+         'rows["pipeline"] = O.decode(rows["pipe"], lambda uri: O.parts(uri)[-1])'),
     ]
 
 
